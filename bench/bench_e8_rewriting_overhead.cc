@@ -86,8 +86,8 @@ BENCHMARK(BM_RewrittenQueryWithDifference)
     ->Range(64, 16384)
     ->Unit(benchmark::kMillisecond);
 
-// One full sampling round (repair sampling + rewritten query), the unit
-// the n-round loop repeats.
+// One full round of the Section 5 loop (survivor draws, R − R_del, query,
+// tally), the unit the n-round loop repeats.
 void BM_FullSamplingRound(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
   gen::Workload w = gen::MakeJoinWorkload(rows, rows / 10 + 1, /*seed=*/502);
@@ -100,11 +100,8 @@ void BM_FullSamplingRound(benchmark::State& state) {
        KeySpec{w.schema->RelationOrDie("T"), {0}}},
       /*seed=*/503);
   for (auto _ : state) {
-    std::map<PredId, Relation> repaired = executor.SampleRepairedRelations();
-    std::map<PredId, const Relation*> pointers;
-    for (const auto& [p, rel] : repaired) pointers[p] = &rel;
-    Relation result = ExecuteConjunctive(query, pointers);
-    benchmark::DoNotOptimize(result);
+    ApproxAnswers answers = executor.Run(query, /*rounds=*/1);
+    benchmark::DoNotOptimize(answers);
   }
 }
 BENCHMARK(BM_FullSamplingRound)

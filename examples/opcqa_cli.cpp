@@ -90,8 +90,11 @@
 // flag table (the normative list docs/KNOBS.md is CI-checked against)
 // and exits 0.
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -147,10 +150,12 @@ struct Options {
   double slow_ms = -1;     // slow-query span-tree threshold (< 0 = off)
 };
 
-/// Parses "R:0;S:0,1" into SQL table keys against `schema`.
+/// Parses "R:0;S:0,1" into SQL table keys against `schema`: one entry
+/// per relation, positions are decimal integers below its arity.
 Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
                                                  const std::string& spec) {
   std::vector<sql::TableKey> keys;
+  std::set<std::string> keyed;
   for (const std::string& piece : Split(spec, ';')) {
     std::string entry = Trim(piece);
     if (entry.empty()) continue;
@@ -165,15 +170,26 @@ Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
     if (pred == Schema::kNotFound) {
       return Status::NotFound("unknown relation in --keys: " + key.table);
     }
+    if (!keyed.insert(key.table).second) {
+      return Status::InvalidArgument("relation keyed twice in --keys: " +
+                                     key.table);
+    }
     for (const std::string& pos_text :
          Split(entry.substr(colon + 1), ',')) {
-      int position = std::atoi(Trim(pos_text).c_str());
-      if (position < 0 ||
-          static_cast<uint32_t>(position) >= schema.Arity(pred)) {
+      std::string digits = Trim(pos_text);
+      const char* end = digits.data() + digits.size();
+      size_t position = 0;
+      auto [stop, error] = std::from_chars(digits.data(), end, position);
+      if (digits.empty() || error != std::errc() || stop != end) {
+        return Status::InvalidArgument(
+            "key position is not a non-negative integer: '" + pos_text +
+            "'");
+      }
+      if (position >= schema.Arity(pred)) {
         return Status::OutOfRange("key position out of range: " +
                                   pos_text);
       }
-      key.key_positions.push_back(static_cast<size_t>(position));
+      key.key_positions.push_back(position);
     }
     if (key.key_positions.empty()) {
       return Status::InvalidArgument("empty key position list for " +
@@ -193,6 +209,14 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   if (arg.rfind(prefix, 0) != 0) return false;
   *out = arg.substr(prefix.size());
   return true;
+}
+
+/// Parses a whole flag value as a double; false on empty input or
+/// trailing characters.
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size();
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -243,7 +267,7 @@ Result<Schema> ParseSchemaFile(const std::string& text) {
 //   1  hard failure — missing/unparseable input files, unwritable
 //      --serve-out, a chain too large for --mode=exact;
 //   2  usage — unknown flags or bad flag *values* (generator, mode,
-//      plan, keys), missing required flags.
+//      plan, keys, eps/delta), missing required flags.
 
 // The complete flag reference, printed by --help (exit 0). One line per
 // flag: "  --name=VALUE  (default/required)  what it does". docs/KNOBS.md
@@ -404,11 +428,16 @@ int main(int argc, char** argv) {
     if (ParseFlag(arg, "generator", &opt.generator)) continue;
     if (ParseFlag(arg, "mode", &opt.mode)) continue;
     if (ParseFlag(arg, "eps", &value)) {
-      opt.eps = std::atof(value.c_str());
+      if (!ParseDouble(value, &opt.eps)) {
+        return UsageFail(Status::InvalidArgument("bad --eps value: " + value));
+      }
       continue;
     }
     if (ParseFlag(arg, "delta", &value)) {
-      opt.delta = std::atof(value.c_str());
+      if (!ParseDouble(value, &opt.delta)) {
+        return UsageFail(
+            Status::InvalidArgument("bad --delta value: " + value));
+      }
       continue;
     }
     if (ParseFlag(arg, "seed", &value)) {
@@ -526,6 +555,11 @@ int main(int argc, char** argv) {
                  "[--eps --delta --seed]\n"
                  "run opcqa_cli --help for the full flag reference\n");
     return 2;
+  }
+  if (sql_mode || opt.mode == "approx") {
+    // The sampling modes size their loops by n(ε,δ).
+    Status guarantee = Sampler::CheckGuarantee(opt.eps, opt.delta);
+    if (!guarantee.ok()) return UsageFail(guarantee);
   }
 
   if (!opt.trace_out.empty() || opt.slow_ms >= 0) {

@@ -1,6 +1,6 @@
 #include "engine/key_repair_executor.h"
 
-#include <cmath>
+#include <set>
 
 #include "repair/sampler.h"
 #include "util/logging.h"
@@ -8,95 +8,60 @@
 namespace opcqa {
 namespace engine {
 
-KeyRepairExecutor::KeyRepairExecutor(const Database& db,
-                                     std::vector<KeySpec> keys, uint64_t seed,
-                                     ExecutorOptions options)
-    : schema_(&db.schema()),
-      keys_(std::move(keys)),
-      options_(std::move(options)),
-      rng_(seed) {
-  for (PredId pred = 0; pred < schema_->size(); ++pred) {
-    relations_.emplace(pred, Relation::FromDatabase(db, pred));
-  }
-  for (const KeySpec& key : keys_) {
-    const Relation& rel = relations_.at(key.pred);
+KeyRepairLoop::KeyRepairLoop(const std::vector<KeyedRelation>& keyed,
+                             uint64_t seed, const ExecutorOptions& options)
+    : keep_none_probability_(options.keep_none_probability), rng_(seed) {
+  for (const auto& [rel, positions] : keyed) {
     std::map<Row, std::vector<size_t>> by_key;
-    for (size_t i = 0; i < rel.rows().size(); ++i) {
+    for (size_t i = 0; i < rel->size(); ++i) {
       Row key_value;
-      key_value.reserve(key.key_positions.size());
-      for (size_t pos : key.key_positions) {
-        OPCQA_CHECK_LT(pos, rel.arity());
-        key_value.push_back(rel.rows()[i][pos]);
+      for (size_t pos : positions) {
+        OPCQA_CHECK_LT(pos, rel->arity()) << "key position of " << rel->name();
+        key_value.push_back(rel->rows()[i][pos]);
       }
       by_key[std::move(key_value)].push_back(i);
     }
-    std::vector<std::vector<size_t>> groups;
-    for (auto& [key_value, indices] : by_key) {
-      if (indices.size() >= 2) groups.push_back(std::move(indices));
+    std::vector<Group>& groups = groups_.emplace_back();
+    for (auto& [key_value, rows] : by_key) {
+      if (rows.size() < 2) continue;
+      Group& group = groups.emplace_back(Group{std::move(rows), {}});
+      if (options.trust.empty()) continue;
+      for (size_t row : group.rows) {
+        auto it = options.trust.find(rel->rows()[row]);
+        group.weights.push_back(it == options.trust.end() ? 1.0 : it->second);
+      }
     }
-    violating_groups_[key.pred] = std::move(groups);
   }
 }
 
-const Relation& KeyRepairExecutor::RelationOf(PredId pred) const {
-  return relations_.at(pred);
-}
-
-std::map<PredId, Relation> KeyRepairExecutor::SampleRepairedRelations() {
-  std::map<PredId, Relation> repaired;
-  for (const auto& [pred, rel] : relations_) {
-    auto groups_it = violating_groups_.find(pred);
-    if (groups_it == violating_groups_.end() || groups_it->second.empty()) {
-      repaired.emplace(pred, rel);
-      continue;
-    }
-    // Collect the indices deleted this round (R_del).
-    std::vector<bool> deleted(rel.rows().size(), false);
-    for (const std::vector<size_t>& group : groups_it->second) {
-      size_t survivor = group.size();  // sentinel: none survives
-      switch (options_.policy) {
-        case SurvivorPolicy::kKeepOneUniform:
-          survivor = rng_.UniformInt(group.size());
-          break;
-        case SurvivorPolicy::kTrustWeighted: {
-          if (options_.keep_none_probability > 0.0 &&
-              rng_.Bernoulli(options_.keep_none_probability)) {
-            break;  // keep none
-          }
-          std::vector<double> weights;
-          weights.reserve(group.size());
-          for (size_t index : group) {
-            auto it = options_.trust.find(rel.rows()[index]);
-            weights.push_back(it == options_.trust.end() ? 1.0 : it->second);
-          }
-          survivor = rng_.WeightedIndex(weights);
-          break;
-        }
+Deletions KeyRepairLoop::SampleDeletions() {
+  Deletions deletions(groups_.size());
+  for (size_t k = 0; k < groups_.size(); ++k) {
+    for (const Group& group : groups_[k]) {
+      size_t survivor = group.rows.size();  // out of range = keep none
+      if (!rng_.Bernoulli(keep_none_probability_)) {
+        survivor = group.weights.empty() ? rng_.UniformInt(group.rows.size())
+                                         : rng_.WeightedIndex(group.weights);
       }
-      for (size_t k = 0; k < group.size(); ++k) {
-        if (k != survivor) deleted[group[k]] = true;
+      for (size_t i = 0; i < group.rows.size(); ++i) {
+        if (i != survivor) deletions[k].push_back(group.rows[i]);
       }
     }
-    // R − R_del without materializing R_del separately.
-    Relation reduced(rel.name(), rel.columns());
-    for (size_t i = 0; i < rel.rows().size(); ++i) {
-      if (!deleted[i]) reduced.Add(rel.rows()[i]);
-    }
-    repaired.emplace(pred, std::move(reduced));
   }
-  return repaired;
+  return deletions;
 }
 
-ApproxAnswers KeyRepairExecutor::Run(const Query& query, size_t rounds) {
+Result<ApproxAnswers> KeyRepairLoop::Run(size_t rounds,
+                                         const Evaluate& evaluate) {
   OPCQA_CHECK_GT(rounds, 0u);
   std::map<Tuple, size_t> counts;  // the temporary table T
   for (size_t round = 0; round < rounds; ++round) {
-    std::map<PredId, Relation> repaired = SampleRepairedRelations();
-    std::map<PredId, const Relation*> pointers;
-    for (const auto& [pred, rel] : repaired) pointers[pred] = &rel;
-    Relation answers = ExecuteConjunctive(query, pointers);
-    std::set<Row> distinct(answers.rows().begin(), answers.rows().end());
-    for (const Row& row : distinct) ++counts[row];
+    Result<Relation> answers = evaluate(SampleDeletions());
+    if (!answers.ok()) return answers.status();
+    for (const Row& row : std::set<Row>(answers->rows().begin(),
+                                        answers->rows().end())) {
+      ++counts[row];
+    }
   }
   ApproxAnswers result;
   result.rounds = rounds;
@@ -105,6 +70,70 @@ ApproxAnswers KeyRepairExecutor::Run(const Query& query, size_t rounds) {
         static_cast<double>(count) / static_cast<double>(rounds);
   }
   return result;
+}
+
+namespace {
+
+std::map<PredId, Relation> LoadRelations(const Database& db) {
+  std::map<PredId, Relation> relations;
+  for (PredId pred = 0; pred < db.schema().size(); ++pred) {
+    relations.emplace(pred, Relation::FromDatabase(db, pred));
+  }
+  return relations;
+}
+
+std::vector<KeyedRelation> Keyed(const std::map<PredId, Relation>& relations,
+                                 const std::vector<KeySpec>& keys) {
+  std::vector<KeyedRelation> keyed;
+  for (const KeySpec& key : keys) {
+    keyed.push_back({&relations.at(key.pred), key.key_positions});
+  }
+  return keyed;
+}
+
+}  // namespace
+
+KeyRepairExecutor::KeyRepairExecutor(const Database& db,
+                                     std::vector<KeySpec> keys, uint64_t seed,
+                                     ExecutorOptions options)
+    : relations_(LoadRelations(db)),
+      keys_(std::move(keys)),
+      loop_(Keyed(relations_, keys_), seed, options) {}
+
+const Relation& KeyRepairExecutor::RelationOf(PredId pred) const {
+  return relations_.at(pred);
+}
+
+std::map<PredId, Relation> KeyRepairExecutor::Repaired(
+    const Deletions& deletions) const {
+  std::map<PredId, Relation> repaired = relations_;
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const Relation& rel = relations_.at(keys_[k].pred);
+    std::vector<bool> deleted(rel.size(), false);
+    for (size_t index : deletions[k]) deleted[index] = true;
+    Relation& reduced = repaired[keys_[k].pred] =
+        Relation(rel.name(), rel.columns());
+    for (size_t i = 0; i < rel.size(); ++i) {
+      if (!deleted[i]) reduced.Add(rel.rows()[i]);
+    }
+  }
+  return repaired;
+}
+
+std::map<PredId, Relation> KeyRepairExecutor::SampleRepairedRelations() {
+  return Repaired(loop_.SampleDeletions());
+}
+
+ApproxAnswers KeyRepairExecutor::Run(const Query& query, size_t rounds) {
+  return loop_
+      .Run(rounds,
+           [&](const Deletions& deletions) -> Result<Relation> {
+             std::map<PredId, Relation> repaired = Repaired(deletions);
+             std::map<PredId, const Relation*> pointers;
+             for (const auto& [pred, rel] : repaired) pointers[pred] = &rel;
+             return ExecuteConjunctive(query, pointers);
+           })
+      .value();
 }
 
 ApproxAnswers KeyRepairExecutor::RunWithGuarantee(const Query& query,

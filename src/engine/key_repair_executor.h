@@ -7,22 +7,27 @@
 //  relation R is replaced with R − R_del, and append the outcome to a
 //  temporary table T. [...] for each tuple t̄, return n_t̄ / n."
 //
-// KeyRepairExecutor implements exactly that loop over the in-repo algebra
-// engine. Two survivor policies:
-//   * kKeepOneUniform — classical subset-repair sampling (each group keeps
-//     one uniformly-chosen tuple);
-//   * kTrustWeighted  — survivors sampled proportionally to trust weights,
-//     with an optional "keep none" probability per group (the Example 5
-//     behaviour where neither conflicting source is trusted).
+// KeyRepairLoop is the one implementation of that loop: grouping by key,
+// the survivor draw, and the n-round tally of distinct answer rows. Its
+// front ends supply only the per-round evaluation of Q over R − R_del:
+// KeyRepairExecutor below (conjunctive queries over the algebra engine)
+// and sql::SqlApproxRunner (a rewritten SQL statement).
+//
+// The survivor draw is one rule per violating group: with probability
+// `keep_none_probability` no tuple survives (Example 5: neither
+// conflicting source is trusted); otherwise one survives, drawn by trust
+// weight when weights are given and uniformly when not.
 
 #ifndef OPCQA_ENGINE_KEY_REPAIR_EXECUTOR_H_
 #define OPCQA_ENGINE_KEY_REPAIR_EXECUTOR_H_
 
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "engine/algebra.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace opcqa {
 namespace engine {
@@ -33,14 +38,10 @@ struct KeySpec {
   std::vector<size_t> key_positions;
 };
 
-enum class SurvivorPolicy { kKeepOneUniform, kTrustWeighted };
-
 struct ExecutorOptions {
-  SurvivorPolicy policy = SurvivorPolicy::kKeepOneUniform;
-  /// kTrustWeighted: per-row weights; missing rows default to 1.
+  /// Per-row trust weights (missing rows weigh 1); empty = uniform draw.
   std::map<Row, double> trust;
-  /// kTrustWeighted: probability of keeping *no* tuple from a group of
-  /// conflicting tuples.
+  /// Probability of keeping *no* tuple from a group of conflicting tuples.
   double keep_none_probability = 0.0;
 };
 
@@ -55,9 +56,45 @@ struct ApproxAnswers {
   }
 };
 
+/// A dirty relation and the positions of its key.
+struct KeyedRelation {
+  const Relation* relation;
+  std::vector<size_t> key_positions;
+};
+
+/// One round's R_del: per keyed relation, the indices of its deleted rows.
+using Deletions = std::vector<std::vector<size_t>>;
+
+class KeyRepairLoop {
+ public:
+  /// Evaluates Q over R − R_del for one round's deletions.
+  using Evaluate = std::function<Result<Relation>(const Deletions&)>;
+
+  /// Reads the relations only here. Every round draws the keyed relations
+  /// in the given order, and each one's groups in key-value order.
+  KeyRepairLoop(const std::vector<KeyedRelation>& keyed, uint64_t seed,
+                const ExecutorOptions& options);
+
+  Deletions SampleDeletions();
+
+  /// The n-round loop; the first evaluation error ends it.
+  Result<ApproxAnswers> Run(size_t rounds, const Evaluate& evaluate);
+
+ private:
+  struct Group {
+    std::vector<size_t> rows;     // a violating group (size ≥ 2)
+    std::vector<double> weights;  // empty = uniform survivor
+  };
+  std::vector<std::vector<Group>> groups_;  // per keyed relation
+  double keep_none_probability_;
+  Rng rng_;
+};
+
+/// The CQ front end: evaluates a conjunctive query with the algebra engine.
 class KeyRepairExecutor {
  public:
-  /// `db` is the dirty database; `keys` the key constraints per relation.
+  /// `db` is the dirty database; `keys` at most one key per relation, in
+  /// the order rounds draw them.
   KeyRepairExecutor(const Database& db, std::vector<KeySpec> keys,
                     uint64_t seed, ExecutorOptions options = {});
 
@@ -68,22 +105,18 @@ class KeyRepairExecutor {
   /// pred → R − R_del (non-keyed relations are returned unchanged).
   std::map<PredId, Relation> SampleRepairedRelations();
 
-  /// The paper's n-round loop for a conjunctive query.
   ApproxAnswers Run(const Query& query, size_t rounds);
 
-  /// n(ε,δ) = ⌈ln(2/δ)/(2ε²)⌉, then Run.
+  /// n(ε,δ) from Sampler::NumSamples, then Run.
   ApproxAnswers RunWithGuarantee(const Query& query, double epsilon,
                                  double delta);
 
  private:
-  const Schema* schema_;
-  std::vector<KeySpec> keys_;
+  std::map<PredId, Relation> Repaired(const Deletions& deletions) const;
+
   std::map<PredId, Relation> relations_;
-  // Per keyed relation: groups of row indices sharing a key value, only for
-  // groups of size ≥ 2 (the violating ones).
-  std::map<PredId, std::vector<std::vector<size_t>>> violating_groups_;
-  ExecutorOptions options_;
-  Rng rng_;
+  std::vector<KeySpec> keys_;
+  KeyRepairLoop loop_;
 };
 
 }  // namespace engine

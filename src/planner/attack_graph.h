@@ -3,8 +3,8 @@
 //
 // The planner's front door: given the session's ConstraintSet, detect
 // whether it is a set of *key-style* EGDs (each the textbook encoding of
-// one functional dependency key(R) → pos_j, as produced by
-// sql::AppendKeyEgds or written by hand), recover one primary key per
+// one functional dependency key(R) → pos_j, as the gen/ workloads and
+// users write them), recover one primary key per
 // relation, and — for a self-join-free conjunctive query q — build the
 // attack graph:
 //

@@ -1,6 +1,7 @@
 #include "repair/sampler.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -23,11 +24,34 @@ Sampler::Sampler(const Database& db, const ConstraintSet& constraints,
   OPCQA_CHECK(generator != nullptr);
 }
 
+namespace {
+
+/// ⌈ln(2/δ) / (2ε²)⌉ as a double; may exceed every size_t (or be +inf).
+double HoeffdingSamples(double epsilon, double delta) {
+  return std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon));
+}
+
+}  // namespace
+
+Status Sampler::CheckGuarantee(double epsilon, double delta) {
+  // Written so that NaN fails every comparison.
+  if (!(std::isfinite(epsilon) && epsilon > 0.0 && delta > 0.0 &&
+        delta < 1.0)) {
+    return Status::InvalidArgument(
+        "need finite epsilon > 0 and 0 < delta < 1");
+  }
+  // 2^64 is exact as a double; every double below it converts to size_t.
+  if (HoeffdingSamples(epsilon, delta) >=
+      std::ldexp(1.0, std::numeric_limits<size_t>::digits)) {
+    return Status::OutOfRange("n(epsilon, delta) does not fit in size_t");
+  }
+  return Status::Ok();
+}
+
 size_t Sampler::NumSamples(double epsilon, double delta) {
-  OPCQA_CHECK_GT(epsilon, 0.0);
-  OPCQA_CHECK(delta > 0.0 && delta < 1.0);
-  return static_cast<size_t>(
-      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
+  Status valid = CheckGuarantee(epsilon, delta);
+  OPCQA_CHECK(valid.ok()) << valid.ToString();
+  return static_cast<size_t>(HoeffdingSamples(epsilon, delta));
 }
 
 WalkResult Sampler::WalkWithRng(Rng* rng) const {

@@ -26,6 +26,7 @@
 #include "logic/query.h"
 #include "repair/chain_generator.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace opcqa {
 
@@ -65,7 +66,10 @@ class Sampler {
           const ChainGenerator* generator, uint64_t seed,
           SamplerOptions options = {});
 
-  /// n(ε,δ) = ⌈ln(2/δ) / (2ε²)⌉ (Hoeffding).
+  /// Ok when ε > 0 is finite, 0 < δ < 1, and n(ε,δ) fits in size_t.
+  static Status CheckGuarantee(double epsilon, double delta);
+
+  /// n(ε,δ) = ⌈ln(2/δ) / (2ε²)⌉ (Hoeffding); needs CheckGuarantee ok.
   static size_t NumSamples(double epsilon, double delta);
 
   /// One execution of algorithm Sample, drawing from the sampler's own

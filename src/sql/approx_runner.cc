@@ -1,117 +1,84 @@
 #include "sql/approx_runner.h"
 
-#include <cmath>
-
+#include "repair/sampler.h"
 #include "sql/parser.h"
 #include "util/string_util.h"
 
 namespace opcqa {
 namespace sql {
+namespace {
 
-double SqlApproxResult::Frequency(const engine::Row& row) const {
-  auto it = frequency.find(row);
-  return it == frequency.end() ? 0.0 : it->second;
+std::vector<engine::KeyedRelation> Keyed(const Catalog& catalog,
+                                         const std::vector<TableKey>& keys) {
+  std::vector<engine::KeyedRelation> keyed;
+  for (const TableKey& key : keys) {
+    const engine::Relation* table = catalog.Find(key.table);
+    OPCQA_CHECK(table != nullptr) << "unknown keyed table " << key.table;
+    keyed.push_back({table, key.key_positions});
+  }
+  return keyed;
 }
+
+}  // namespace
 
 SqlApproxRunner::SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys,
                                  uint64_t seed, SqlApproxOptions options)
     : catalog_(std::move(catalog)),
       keys_(std::move(keys)),
-      options_(std::move(options)),
-      rng_(seed) {
-  // Precompute the violating groups of every keyed table.
-  for (const TableKey& key : keys_) {
-    const engine::Relation* table = catalog_.Find(key.table);
-    OPCQA_CHECK(table != nullptr) << "unknown keyed table " << key.table;
-    for (size_t position : key.key_positions) {
-      OPCQA_CHECK_LT(position, table->arity())
-          << "key position out of range for " << key.table;
-    }
-    std::map<engine::Row, std::vector<size_t>> by_key;
-    const auto& rows = table->rows();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      engine::Row key_value;
-      key_value.reserve(key.key_positions.size());
-      for (size_t position : key.key_positions) {
-        key_value.push_back(rows[i][position]);
-      }
-      by_key[std::move(key_value)].push_back(i);
-    }
-    std::vector<std::vector<size_t>> violating;
-    for (auto& [key_value, indices] : by_key) {
-      if (indices.size() >= 2) violating.push_back(std::move(indices));
-    }
-    groups_[key.table] = std::move(violating);
-  }
-}
+      exec_(options.exec),
+      // SQL keys carry no trust weights: survivors are drawn uniformly.
+      loop_(Keyed(catalog_, keys_), seed,
+            {/*trust=*/{}, options.keep_none_probability}) {}
 
-size_t SqlApproxRunner::NumRounds(double epsilon, double delta) {
-  OPCQA_CHECK_GT(epsilon, 0.0);
-  OPCQA_CHECK(delta > 0.0 && delta < 1.0);
-  return static_cast<size_t>(
-      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
+std::map<std::string, engine::Relation> SqlApproxRunner::DeletionTables(
+    const engine::Deletions& deletions) const {
+  std::map<std::string, engine::Relation> tables;
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const engine::Relation* table = catalog_.Find(keys_[k].table);
+    engine::Relation del(StrCat(keys_[k].table, "__del"), table->columns());
+    for (size_t row : deletions[k]) del.Add(table->rows()[row]);
+    tables.emplace(keys_[k].table, std::move(del));
+  }
+  return tables;
 }
 
 std::map<std::string, engine::Relation> SqlApproxRunner::SampleDeletions() {
-  std::map<std::string, engine::Relation> deletions;
-  for (const TableKey& key : keys_) {
-    const engine::Relation* table = catalog_.Find(key.table);
-    engine::Relation del(StrCat(key.table, "__del"), table->columns());
-    for (const std::vector<size_t>& group : groups_[key.table]) {
-      // "randomly pick at most one tuple to be left there, and collect the
-      // others in R_del".
-      size_t survivor = group.size();  // out of range = keep none
-      if (!rng_.Bernoulli(options_.keep_none_probability)) {
-        survivor = rng_.UniformInt(group.size());
-      }
-      for (size_t i = 0; i < group.size(); ++i) {
-        if (i != survivor) del.Add(table->rows()[group[i]]);
-      }
-    }
-    deletions.emplace(key.table, std::move(del));
-  }
-  return deletions;
+  return DeletionTables(loop_.SampleDeletions());
 }
 
 Result<SqlApproxResult> SqlApproxRunner::Run(std::string_view sql,
                                              size_t rounds) {
-  OPCQA_CHECK_GT(rounds, 0u);
   Result<StatementPtr> parsed = Parse(sql);
   if (!parsed.ok()) return parsed.status();
-
   std::map<std::string, std::string> deletion_names;
   for (const TableKey& key : keys_) {
     deletion_names[key.table] = StrCat(key.table, "__del");
   }
-  StatementPtr rewritten = RewriteWithDeletions(parsed.value(),
-                                                deletion_names);
+  StatementPtr rewritten = RewriteWithDeletions(*parsed, deletion_names);
 
   SqlApproxResult result;
-  result.rounds = rounds;
   result.rewritten_sql = rewritten->ToString();
-
-  std::map<engine::Row, size_t> counts;
-  for (size_t round = 0; round < rounds; ++round) {
-    Catalog scratch = catalog_;
-    for (auto& [table, del] : SampleDeletions()) {
-      scratch.Register(StrCat(table, "__del"), std::move(del));
-    }
-    Result<engine::Relation> answer =
-        Execute(*rewritten, scratch, options_.exec);
-    if (!answer.ok()) return answer.status();
-    if (result.columns.empty()) result.columns = answer.value().columns();
-    for (const engine::Row& row : answer.value().rows()) ++counts[row];
-  }
-  for (const auto& [row, count] : counts) {
-    result.frequency[row] =
-        static_cast<double>(count) / static_cast<double>(rounds);
-  }
+  Result<engine::ApproxAnswers> answers = loop_.Run(
+      rounds,
+      [&](const engine::Deletions& deletions) -> Result<engine::Relation> {
+        Catalog scratch = catalog_;
+        for (auto& [table, del] : DeletionTables(deletions)) {
+          scratch.Register(StrCat(table, "__del"), std::move(del));
+        }
+        Result<engine::Relation> answer = Execute(*rewritten, scratch, exec_);
+        if (answer.ok() && result.columns.empty()) {
+          result.columns = answer->columns();
+        }
+        return answer;
+      });
+  if (!answers.ok()) return answers.status();
+  static_cast<engine::ApproxAnswers&>(result) = std::move(answers).value();
   return result;
 }
 
 Result<SqlApproxResult> SqlApproxRunner::RunWithGuarantee(
     std::string_view sql, double epsilon, double delta) {
-  return Run(sql, NumRounds(epsilon, delta));
+  return Run(sql, Sampler::NumSamples(epsilon, delta));
 }
 
 }  // namespace sql

@@ -1,19 +1,9 @@
-// End-to-end implementation of the Section 5 practical scheme over SQL.
-//
-// "The user sets numbers ε and δ, and computes the number n of samples from
-//  it as 1/2ε² · ln(2/δ). We then do the following n times: from each group
-//  of tuples in relation R that violate a key, randomly pick at most one
-//  tuple to be left there, and collect others in a relation R_del. Then run
-//  the original query Q in which each relation R is replaced with R − R_del,
-//  and append the outcome to a temporary table T […] for each tuple t̄ we
-//  compute the number of times n_t̄ it occurs […] and return n_t̄ / n."
-//
-// SqlApproxRunner executes that loop literally: per round it samples R_del
-// for every keyed table, registers the R_del tables in a scratch catalog,
-// executes the rewritten statement produced by RewriteWithDeletions, and
-// tallies result rows. Each returned frequency estimates the probability
-// that the tuple is an answer over a uniformly sampled key repair, with the
-// additive Hoeffding guarantee of Theorem 9.
+// The Section 5 practical scheme over SQL: a front end of
+// engine::KeyRepairLoop, which owns the loop itself. SqlApproxRunner parses
+// the statement, rewrites it with RewriteWithDeletions, and per round
+// executes the rewritten statement with the sampled R_del tables. Each
+// frequency estimates the probability that the tuple is an answer over a
+// uniformly sampled key repair, with the Hoeffding guarantee of Theorem 9.
 
 #ifndef OPCQA_SQL_APPROX_RUNNER_H_
 #define OPCQA_SQL_APPROX_RUNNER_H_
@@ -22,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "engine/key_repair_executor.h"
 #include "sql/catalog.h"
 #include "sql/executor.h"
 #include "sql/rewriter.h"
-#include "util/random.h"
 
 namespace opcqa {
 namespace sql {
@@ -44,32 +34,26 @@ struct SqlApproxOptions {
   ExecOptions exec;
 };
 
-struct SqlApproxResult {
-  /// Result row → n_t / n.
-  std::map<engine::Row, double> frequency;
+/// Result row → n_t / n (`frequency`), plus the SQL-level details.
+struct SqlApproxResult : engine::ApproxAnswers {
   /// Output column names of the query.
   std::vector<std::string> columns;
-  size_t rounds = 0;
   /// The rewritten SQL actually executed (for display/debugging).
   std::string rewritten_sql;
-
-  double Frequency(const engine::Row& row) const;
 };
 
 class SqlApproxRunner {
  public:
-  /// `catalog` holds the dirty tables; `keys` lists the key constraints.
-  /// Tables named "<table>__del" are reserved for the sampled deletions.
+  /// `catalog` holds the dirty tables; `keys` at most one key per table,
+  /// in the order rounds draw them. Tables named "<table>__del" are
+  /// reserved for the sampled deletions.
   SqlApproxRunner(Catalog catalog, std::vector<TableKey> keys, uint64_t seed,
                   SqlApproxOptions options = {});
-
-  /// n(ε,δ) = ⌈ln(2/δ) / (2ε²)⌉.
-  static size_t NumRounds(double epsilon, double delta);
 
   /// Runs the n-round loop for `sql`.
   Result<SqlApproxResult> Run(std::string_view sql, size_t rounds);
 
-  /// Computes n from (ε,δ), then runs.
+  /// n(ε,δ) from Sampler::NumSamples, then Run.
   Result<SqlApproxResult> RunWithGuarantee(std::string_view sql,
                                            double epsilon, double delta);
 
@@ -78,12 +62,13 @@ class SqlApproxRunner {
   std::map<std::string, engine::Relation> SampleDeletions();
 
  private:
+  std::map<std::string, engine::Relation> DeletionTables(
+      const engine::Deletions& deletions) const;
+
   Catalog catalog_;
   std::vector<TableKey> keys_;
-  // Per keyed table: violating groups as row-index lists (size ≥ 2).
-  std::map<std::string, std::vector<std::vector<size_t>>> groups_;
-  SqlApproxOptions options_;
-  Rng rng_;
+  ExecOptions exec_;
+  engine::KeyRepairLoop loop_;
 };
 
 }  // namespace sql

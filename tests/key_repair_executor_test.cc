@@ -1,4 +1,5 @@
-// Tests for the Section 5 practical scheme (R − R_del loop).
+// Tests for the Section 5 practical scheme (R − R_del loop) and for its
+// two front ends sharing the one KeyRepairLoop.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +7,7 @@
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/ocqa.h"
+#include "sql/approx_runner.h"
 
 namespace opcqa {
 namespace engine {
@@ -62,7 +64,6 @@ TEST(KeyRepairExecutorTest, FrequenciesMatchExactOcqaOnKeyPair) {
 TEST(KeyRepairExecutorTest, TrustWeightedSkewsSurvival) {
   gen::Workload w = gen::PaperKeyPairExample();
   ExecutorOptions options;
-  options.policy = SurvivorPolicy::kTrustWeighted;
   options.trust[{Const("a"), Const("b")}] = 9.0;
   options.trust[{Const("a"), Const("c")}] = 1.0;
   KeyRepairExecutor executor(w.db, {KeyOnFirst(*w.schema, "R")}, /*seed=*/8,
@@ -77,7 +78,6 @@ TEST(KeyRepairExecutorTest, TrustWeightedSkewsSurvival) {
 TEST(KeyRepairExecutorTest, KeepNoneProbabilityDropsWholeGroups) {
   gen::Workload w = gen::PaperKeyPairExample();
   ExecutorOptions options;
-  options.policy = SurvivorPolicy::kTrustWeighted;
   options.keep_none_probability = 1.0;  // always trust neither
   KeyRepairExecutor executor(w.db, {KeyOnFirst(*w.schema, "R")}, /*seed=*/9,
                              options);
@@ -123,6 +123,87 @@ TEST(KeyRepairExecutorTest, CompositeKeysGroupCorrectly) {
   KeyRepairExecutor executor(w.db, {KeySpec{r, {0, 1}}}, /*seed=*/14);
   std::map<PredId, Relation> repaired = executor.SampleRepairedRelations();
   EXPECT_EQ(repaired.at(r).size(), w.db.FactsOf(r).size());
+}
+
+// ---------------------------------------------------------------------
+// One loop, two front ends
+// ---------------------------------------------------------------------
+
+/// The CQ front end over `db` and the SQL front end over the same tables
+/// (columns c0, c1, ...), both keyed on column 0 of `keyed`, which both
+/// draw in the listed order, at the same seed.
+void ExpectFrontEndsAgree(const gen::Workload& w,
+                          const std::vector<const char*>& keyed,
+                          const char* cq, const char* sql,
+                          double keep_none_probability, uint64_t seed) {
+  std::vector<KeySpec> keys;
+  std::vector<sql::TableKey> table_keys;
+  for (const char* relation : keyed) {
+    keys.push_back(KeyOnFirst(*w.schema, relation));
+    table_keys.push_back({relation, {0}});
+  }
+  ExecutorOptions options;
+  options.keep_none_probability = keep_none_probability;
+  KeyRepairExecutor executor(w.db, keys, seed, options);
+  Result<Query> q = ParseQuery(*w.schema, cq);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ApproxAnswers via_cq = executor.Run(*q, 400);
+
+  sql::SqlApproxOptions sql_options;
+  sql_options.keep_none_probability = keep_none_probability;
+  sql::SqlApproxRunner runner(sql::Catalog::FromDatabase(w.db), table_keys,
+                              seed, sql_options);
+  Result<sql::SqlApproxResult> via_sql = runner.Run(sql, 400);
+  ASSERT_TRUE(via_sql.ok()) << via_sql.status().ToString();
+
+  EXPECT_FALSE(via_cq.frequency.empty());
+  EXPECT_EQ(via_cq.rounds, via_sql->rounds);
+  EXPECT_EQ(via_cq.frequency, via_sql->frequency);
+}
+
+TEST(KeyRepairLoopTest, CqAndSqlFrontEndsGiveIdenticalFrequencies) {
+  ExpectFrontEndsAgree(gen::MakeKeyViolationWorkload(6, 3, 3, /*seed=*/31),
+                       {"R"}, "Q(x, y) := R(x, y)", "SELECT c0, c1 FROM R",
+                       /*keep_none_probability=*/0.0, /*seed=*/17);
+  // Two keyed relations: both front ends draw R's groups, then S's.
+  ExpectFrontEndsAgree(
+      gen::MakeJoinWorkload(10, 4, /*seed=*/32), {"R", "S"},
+      "Q(x, z) := exists y (R(x, y) & S(y, z))",
+      "SELECT R.c0, S.c1 FROM R, S WHERE R.c1 = S.c0",
+      /*keep_none_probability=*/0.0, /*seed=*/18);
+}
+
+TEST(KeyRepairLoopTest, KeepNoneWithoutTrustIsHonouredByBothFrontEnds) {
+  ExpectFrontEndsAgree(gen::MakeKeyViolationWorkload(6, 3, 3, /*seed=*/33),
+                       {"R"}, "Q(x, y) := R(x, y)", "SELECT c0, c1 FROM R",
+                       /*keep_none_probability=*/0.5, /*seed=*/19);
+  // On D = {R(a,b), R(a,c)} each value survives with (1 − 0.5)/2.
+  gen::Workload w = gen::PaperKeyPairExample();
+  ExecutorOptions options;
+  options.keep_none_probability = 0.5;
+  KeyRepairExecutor executor(w.db, {KeyOnFirst(*w.schema, "R")}, /*seed=*/20,
+                             options);
+  Result<Query> q = ParseQuery(*w.schema, "Q(y) := R(a, y)");
+  ASSERT_TRUE(q.ok());
+  ApproxAnswers answers = executor.Run(*q, 2000);
+  EXPECT_NEAR(answers.Frequency({Const("b")}), 0.25, 0.05);
+  EXPECT_NEAR(answers.Frequency({Const("c")}), 0.25, 0.05);
+}
+
+TEST(KeyRepairLoopTest, EvaluationErrorStopsTheLoop) {
+  gen::Workload w = gen::PaperKeyPairExample();
+  Relation r = Relation::FromDatabase(w.db, w.schema->RelationOrDie("R"));
+  KeyRepairLoop loop({KeyedRelation{&r, {0}}}, /*seed=*/21, {});
+  size_t calls = 0;
+  Result<ApproxAnswers> answers =
+      loop.Run(10, [&](const Deletions& deletions) -> Result<Relation> {
+        ++calls;
+        EXPECT_EQ(deletions.size(), 1u);
+        EXPECT_EQ(deletions[0].size(), 1u);  // one of the two rows goes
+        return Status::Internal("evaluation failed");
+      });
+  EXPECT_FALSE(answers.ok());
+  EXPECT_EQ(calls, 1u);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "repair/abc.h"
 #include "repair/ocqa.h"
 #include "repair/priority_generator.h"
-#include "sql/exact_runner.h"
 
 namespace opcqa {
 namespace {
@@ -311,94 +310,6 @@ TEST(PlannerDispatchTest, PlanCacheHitsAndMutationInvalidation) {
       session.CertainAnswers(generator, q);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->plan, PlanKind::kRewriting) << restored->plan_reason;
-}
-
-// ---------------------------------------------------------------------
-// SQL fast path
-// ---------------------------------------------------------------------
-
-TEST(SqlCertainTest, ProjectionRewritesAndMatchesWalk) {
-  gen::Workload w = gen::MakeKeyViolationWorkload(4, 2, 2, /*seed=*/77);
-  std::vector<sql::TableKey> keys = {{"R", {0}}};
-
-  Result<sql::SqlExactRunner> fast =
-      sql::SqlExactRunner::Make(w.db, keys);
-  ASSERT_TRUE(fast.ok());
-  Result<sql::SqlCertainResult> rewritten =
-      fast->RunCertain("SELECT c0, c1 FROM R");
-  ASSERT_TRUE(rewritten.ok());
-  EXPECT_EQ(rewritten->plan, PlanKind::kRewriting)
-      << rewritten->plan_reason;
-
-  sql::SqlExactOptions walk_options;
-  walk_options.plan = PlanMode::kWalk;
-  Result<sql::SqlExactRunner> slow =
-      sql::SqlExactRunner::Make(w.db, keys, walk_options);
-  ASSERT_TRUE(slow.ok());
-  Result<sql::SqlCertainResult> walked =
-      slow->RunCertain("SELECT c0, c1 FROM R");
-  ASSERT_TRUE(walked.ok());
-  EXPECT_EQ(walked->plan, PlanKind::kMemoizedWalk);
-  EXPECT_EQ(rewritten->rows, walked->rows);
-  EXPECT_EQ(rewritten->columns, walked->columns);
-
-  // Agreement with the full-distribution runner's CP = 1 slice.
-  Result<sql::SqlExactResult> full = slow->Run("SELECT c0, c1 FROM R");
-  ASSERT_TRUE(full.ok());
-  std::vector<engine::Row> certain;
-  for (const auto& [row, p] : full->probability) {
-    if (p == Rational(1)) certain.push_back(row);
-  }
-  EXPECT_EQ(rewritten->rows, certain);
-}
-
-TEST(SqlCertainTest, UntranslatableStatementFallsBackToWalk) {
-  gen::Workload w = gen::MakeKeyViolationWorkload(3, 1, 2, /*seed=*/3);
-  Result<sql::SqlExactRunner> runner =
-      sql::SqlExactRunner::Make(w.db, {{"R", {0}}});
-  ASSERT_TRUE(runner.ok());
-  Result<sql::SqlCertainResult> result =
-      runner->RunCertain("SELECT COUNT(*) FROM R");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->plan, PlanKind::kMemoizedWalk);
-  EXPECT_NE(result->plan_reason.find("not translatable"), std::string::npos)
-      << result->plan_reason;
-  EXPECT_EQ(runner->PlanStats().rewrite_plans, 0u);
-}
-
-TEST(SqlCertainTest, WhereEqualityJoinRewrites) {
-  // A and B are conflict-free (gate 2(b) holds for the join), C carries
-  // the conflicts the walk has to repair.
-  auto schema = std::make_shared<Schema>();
-  PredId a = schema->AddRelation("A", 2);
-  PredId b = schema->AddRelation("B", 2);
-  PredId c = schema->AddRelation("C", 2);
-  Database db(schema.get());
-  db.Insert(Fact(a, {Const("a0"), Const("j0")}));
-  db.Insert(Fact(a, {Const("a1"), Const("j1")}));
-  db.Insert(Fact(b, {Const("j0"), Const("b0")}));
-  db.Insert(Fact(c, {Const("k"), Const("u")}));
-  db.Insert(Fact(c, {Const("k"), Const("v")}));
-  std::vector<sql::TableKey> keys = {{"A", {0}}, {"B", {0}}, {"C", {0}}};
-  const char* join_sql = "SELECT A.c0 FROM A, B WHERE A.c1 = B.c0";
-
-  Result<sql::SqlExactRunner> runner = sql::SqlExactRunner::Make(db, keys);
-  ASSERT_TRUE(runner.ok());
-  Result<sql::SqlCertainResult> result = runner->RunCertain(join_sql);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->plan, PlanKind::kRewriting) << result->plan_reason;
-  EXPECT_EQ(result->rows,
-            std::vector<engine::Row>({Tuple{Const("a0")}}));
-
-  sql::SqlExactOptions walk_options;
-  walk_options.plan = PlanMode::kWalk;
-  Result<sql::SqlExactRunner> slow =
-      sql::SqlExactRunner::Make(db, keys, walk_options);
-  ASSERT_TRUE(slow.ok());
-  Result<sql::SqlCertainResult> walked = slow->RunCertain(join_sql);
-  ASSERT_TRUE(walked.ok());
-  EXPECT_EQ(walked->plan, PlanKind::kMemoizedWalk);
-  EXPECT_EQ(result->rows, walked->rows);
 }
 
 }  // namespace

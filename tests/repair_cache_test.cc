@@ -2,7 +2,7 @@
 // persistence across queries over one root, verified root identity,
 // invalidation on database mutation, eviction under byte pressure with
 // byte-identical results (including post-eviction replay), the
-// delta-compression payload savings, the session/SQL layer threading, and
+// delta-compression payload savings, the session layer threading, and
 // a concurrent two-query-one-cache run (TSan-gated in CI).
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "repair/repair_cache.h"
 #include "repair/top_k.h"
 #include "repair/trust_generator.h"
-#include "sql/exact_runner.h"
 
 namespace opcqa {
 namespace {
@@ -286,58 +285,6 @@ TEST(RepairSpaceCacheTest, TopKConsumesSubtreesRecordedByEnumeration) {
     EXPECT_EQ(result.repairs[i].num_sequences,
               base.repairs[i].num_sequences)
         << i;
-  }
-}
-
-// ---------------------------------------------------------------------
-// SQL exact runner over the shared cache
-// ---------------------------------------------------------------------
-
-TEST(SqlExactRunnerTest, ExactProbabilitiesAndWarmSecondQuery) {
-  // Two key groups of two tuples each. Under the uniform generator every
-  // violating pair {α,β} has three resolutions — delete α, delete β, or
-  // delete both (the Section 3 chain) — so each dirty row survives with
-  // probability 1/3 and there are 3 × 3 = 9 operational repairs.
-  Schema schema;
-  schema.AddRelation("R", 2);
-  Database db(&schema);
-  db.Insert(Fact::Make(schema, "R", {"a", "b"}));
-  db.Insert(Fact::Make(schema, "R", {"a", "c"}));
-  db.Insert(Fact::Make(schema, "R", {"d", "e"}));
-  db.Insert(Fact::Make(schema, "R", {"d", "f"}));
-
-  sql::TableKey key;
-  key.table = "R";
-  key.key_positions = {0};
-  Result<sql::SqlExactRunner> runner =
-      sql::SqlExactRunner::Make(db, {key});
-  ASSERT_TRUE(runner.ok());
-
-  Result<sql::SqlExactResult> first = runner->Run("SELECT c0, c1 FROM R");
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->num_repairs, 9u);
-  EXPECT_EQ(first->success_mass, Rational(1));
-  ASSERT_EQ(first->probability.size(), 4u);
-  for (const auto& [row, p] : first->probability) {
-    EXPECT_EQ(p, Rational(1, 3));
-  }
-
-  // A second statement over the same database re-walks the (probational)
-  // root and admits it; from the third statement on the chain replays
-  // from one root-entry hit.
-  Result<sql::SqlExactResult> second =
-      runner->Run("SELECT c0 FROM R WHERE c1 = 'b'");
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(second->probability.size(), 1u);
-  EXPECT_EQ(second->probability.begin()->second, Rational(1, 3));
-  Result<sql::SqlExactResult> third =
-      runner->Run("SELECT c1 FROM R WHERE c0 = 'a'");
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->memo_stats.hits, 1u);
-  EXPECT_EQ(third->memo_stats.misses, 0u);
-  ASSERT_EQ(third->probability.size(), 2u);
-  for (const auto& [row, p] : third->probability) {
-    EXPECT_EQ(p, Rational(1, 3));
   }
 }
 

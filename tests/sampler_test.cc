@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "gen/workloads.h"
 #include "logic/formula_parser.h"
 #include "repair/ocqa.h"
@@ -19,6 +23,27 @@ TEST(SamplerTest, NumSamplesMatchesPaperFigure) {
   // Monotonicity: tighter ε/δ need more samples.
   EXPECT_GT(Sampler::NumSamples(0.05, 0.1), Sampler::NumSamples(0.1, 0.1));
   EXPECT_GT(Sampler::NumSamples(0.1, 0.01), Sampler::NumSamples(0.1, 0.1));
+}
+
+TEST(SamplerTest, CheckGuaranteeRejectsUnusableEpsilonDelta) {
+  EXPECT_TRUE(Sampler::CheckGuarantee(0.1, 0.1).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto [epsilon, delta] : std::vector<std::pair<double, double>>{
+           {0.0, 0.1}, {-0.1, 0.1}, {0.1, 0.0}, {0.1, 1.0}, {0.1, 1.5},
+           {nan, 0.1}, {0.1, nan}, {inf, 0.1}, {0.1, -inf}}) {
+    Status status = Sampler::CheckGuarantee(epsilon, delta);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << epsilon << ", " << delta;
+  }
+  // n(1e-12, 0.1) ≈ 1.5e24 and n(1e-200, 0.1) = +inf exceed every size_t.
+  EXPECT_EQ(Sampler::CheckGuarantee(1e-12, 0.1).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(Sampler::CheckGuarantee(1e-200, 0.1).code(),
+            StatusCode::kOutOfRange);
+  // n(1e-9, 0.1) ≈ 1.5e18 is huge but still a size_t.
+  EXPECT_TRUE(Sampler::CheckGuarantee(1e-9, 0.1).ok());
+  EXPECT_GT(Sampler::NumSamples(1e-9, 0.1), size_t{1} << 60);
 }
 
 TEST(SamplerTest, WalksTerminateAndSucceedOnNonFailingChains) {

@@ -370,10 +370,15 @@ class SqlApproxTest : public ::testing::Test {
   Catalog catalog_;
 };
 
-TEST_F(SqlApproxTest, NumRoundsMatchesPaper) {
+TEST_F(SqlApproxTest, GuaranteeRoundCountMatchesPaper) {
   // ε = δ = 0.1 → n = 150, the number quoted in Section 5.
-  EXPECT_EQ(SqlApproxRunner::NumRounds(0.1, 0.1), 150u);
-  EXPECT_EQ(SqlApproxRunner::NumRounds(0.05, 0.1), 600u);
+  SqlApproxRunner runner(catalog_, {TableKey{"r", {0}}}, /*seed=*/7);
+  auto result = runner.RunWithGuarantee("SELECT v FROM r", 0.1, 0.1);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().rounds, 150u);
+  result = runner.RunWithGuarantee("SELECT v FROM r", 0.05, 0.1);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().rounds, 600u);
 }
 
 TEST_F(SqlApproxTest, SampledDeletionsKeepExactlyOnePerGroup) {

@@ -1,12 +1,12 @@
 // Tests for the disk tier (src/storage/ + the RepairSpaceCache
 // integration): canonical snapshot round trips with byte-identical
 // answers, a genuine fresh-process warm start (fork + exec), rejection of
-// corrupt/truncated/version-mismatched snapshots with cold-compute
-// fallback, disk GC under max_disk_bytes, spill-on-LRU-eviction, the
-// twice-missed admission filter, the hardening paths (bounded Put retry,
-// two-strike quarantine, crashed-writer temp sweep, disk-tier circuit
-// breaker trip + recovery), and a concurrent spill-while-querying run
-// (TSan-gated in CI).
+// corrupt/truncated/unsupported-version snapshots (including a committed
+// format-v1 fixture) with cold-compute fallback, disk GC under
+// max_disk_bytes, spill-on-LRU-eviction, the twice-missed admission
+// filter, the hardening paths (bounded Put retry, two-strike quarantine,
+// crashed-writer temp sweep, disk-tier circuit breaker trip + recovery),
+// and a concurrent spill-while-querying run (TSan-gated in CI).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -258,17 +258,42 @@ class StorageRejectionTest : public ::testing::Test {
     ASSERT_TRUE(fs::exists(snapshot_));
   }
 
-  /// A damaged snapshot must degrade to cold compute with byte-identical
-  /// answers and one counted rejection.
+  /// A damaged or unsupported snapshot must degrade to cold compute with
+  /// byte-identical answers and one counted rejection; the next Persist
+  /// then writes a current-version base that restores.
   void ExpectRejectedButCorrect() {
-    RepairSpaceCache cache(DiskOptions(dir_.path()));
-    EnumerationResult result = EnumerateRepairs(
-        w_.db, w_.constraints, generator_, MemoOptions(&cache));
-    DiskTierStats disk = cache.disk_stats();
-    EXPECT_EQ(disk.restores, 0u);
-    EXPECT_EQ(disk.rejected_snapshots, 1u);
-    EXPECT_GT(result.memo_stats.misses, 0u);  // genuinely walked cold
-    ExpectSameDistribution(result, base_);
+    {
+      RepairSpaceCache cache(DiskOptions(dir_.path()));
+      EnumerationResult result = EnumerateRepairs(
+          w_.db, w_.constraints, generator_, MemoOptions(&cache));
+      DiskTierStats disk = cache.disk_stats();
+      EXPECT_EQ(disk.restores, 0u);
+      EXPECT_EQ(disk.rejected_snapshots, 1u);
+      EXPECT_GT(result.memo_stats.misses, 0u);  // genuinely walked cold
+      ExpectSameDistribution(result, base_);
+      // A second pass admits the chain-root entry before the spill.
+      EnumerateRepairs(w_.db, w_.constraints, generator_,
+                       MemoOptions(&cache));
+      cache.Persist();
+    }
+    EXPECT_EQ(VersionByte(), storage::kSnapshotFormatVersion);
+    RepairSpaceCache warm(DiskOptions(dir_.path()));
+    EnumerationResult restored = EnumerateRepairs(
+        w_.db, w_.constraints, generator_, MemoOptions(&warm));
+    EXPECT_EQ(warm.disk_stats().restores, 1u);
+    EXPECT_EQ(warm.disk_stats().rejected_snapshots, 0u);
+    EXPECT_EQ(restored.memo_stats.misses, 0u);
+    ExpectSameDistribution(restored, base_);
+  }
+
+  /// Byte 8 is the low byte of the little-endian format version, right
+  /// after the 8-byte magic.
+  uint32_t VersionByte() const {
+    std::ifstream file(snapshot_, std::ios::binary);
+    file.seekg(8);
+    char version = 0;
+    file.read(&version, 1);
+    return static_cast<uint8_t>(version);
   }
 
   gen::Workload w_;
@@ -315,6 +340,18 @@ TEST_F(StorageRejectionTest, FutureFormatVersionIsRejected) {
 
 TEST_F(StorageRejectionTest, EmptySnapshotFileIsRejected) {
   fs::resize_file(snapshot_, 0);
+  ExpectRejectedButCorrect();
+}
+
+TEST_F(StorageRejectionTest, V1SnapshotIsRejected) {
+  // The committed fixture holds genuine format-v1 bytes for this
+  // workload's root.
+  w_ = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  base_ = EnumerateRepairs(w_.db, w_.constraints, generator_, {});
+  snapshot_ = SnapshotPathFor(w_, generator_, dir_.path());
+  fs::copy_file(fs::path(OPCQA_TEST_FIXTURE_DIR) / "v1_key_violation.snap",
+                snapshot_);
+  ASSERT_EQ(VersionByte(), 1u);
   ExpectRejectedButCorrect();
 }
 
