@@ -76,6 +76,36 @@ bool Database::EraseId(FactId id) {
   return true;
 }
 
+size_t Database::HashWithout(const std::vector<FactId>& ids) const {
+  size_t hash = hash_;
+  for (FactId id : ids) hash -= HashMix64(FactStore::Global().hash(id));
+  return hash;
+}
+
+bool Database::EqualsWithout(const std::vector<FactId>& ids,
+                             const Database& other) const {
+  if (other.size_ + ids.size() != size_ ||
+      other.facts_.size() != facts_.size()) {
+    return false;
+  }
+  // Both sides list each relation in the same value order, so `other`
+  // must be a subsequence of this database whose skipped facts are all in
+  // `ids`; the size check then makes the skipped facts exactly `ids`.
+  for (size_t pred = 0; pred < facts_.size(); ++pred) {
+    const std::vector<FactId>& kept = other.facts_[pred];
+    size_t matched = 0;
+    for (FactId id : facts_[pred]) {
+      if (matched < kept.size() && kept[matched] == id) {
+        ++matched;
+      } else if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
+        return false;
+      }
+    }
+    if (matched != kept.size()) return false;
+  }
+  return true;
+}
+
 bool Database::Contains(const Fact& fact) const {
   if (fact.pred() >= facts_.size()) return false;
   FactId id = FactStore::Global().Find(fact);

@@ -81,15 +81,20 @@ class Database {
   /// repair-space transposition table verifies against the real id sets).
   size_t Hash() const { return hash_; }
 
+  /// Hash() of this database with `ids` (a subset of its facts, each once)
+  /// erased, derived without copying it.
+  size_t HashWithout(const std::vector<FactId>& ids) const;
+  /// True when this database with `ids` (a subset of its facts, each once)
+  /// erased equals `other`, decided without copying it: a lockstep walk of
+  /// the id lists, no fact value comparisons.
+  bool EqualsWithout(const std::vector<FactId>& ids,
+                     const Database& other) const;
+
  private:
   const Schema* schema_;
   std::vector<std::vector<FactId>> facts_;  // per PredId, value-sorted
   size_t size_ = 0;
   size_t hash_ = 0;
-};
-
-struct DatabaseHash {
-  size_t operator()(const Database& db) const { return db.Hash(); }
 };
 
 }  // namespace opcqa

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,8 +17,43 @@ namespace opcqa {
 
 namespace {
 
-// Aggregation map: frozen repair database → (mass, #sequences).
-using AggregateMap = std::map<Database, std::pair<Rational, size_t>>;
+// A repair named by a memoized share: the live database minus the ids the
+// share removed below it, with the derived set hash. Replay probes the
+// aggregation map with it and copies a Database only on first insert.
+struct RepairProbe {
+  const Database& base;
+  const std::vector<FactId>& removed;
+  size_t hash;
+};
+
+// Transparent hash/equality so the map answers both Database and
+// RepairProbe lookups.
+struct RepairKeyHash {
+  using is_transparent = void;
+  size_t operator()(const Database& db) const { return db.Hash(); }
+  size_t operator()(const RepairProbe& probe) const { return probe.hash; }
+};
+struct RepairKeyEqual {
+  using is_transparent = void;
+  bool operator()(const Database& a, const Database& b) const {
+    return a == b;
+  }
+  bool operator()(const RepairProbe& probe, const Database& db) const {
+    return probe.base.EqualsWithout(probe.removed, db);
+  }
+  bool operator()(const Database& db, const RepairProbe& probe) const {
+    return probe.base.EqualsWithout(probe.removed, db);
+  }
+};
+
+// Aggregation map: frozen repair database → (mass, #sequences). Keyed on
+// the incrementally maintained Database::Hash, so a leaf insert costs an
+// O(1) hash read plus one id-vector equality check, never an ordered
+// walk of value comparisons. Iteration order carries no meaning: Assemble
+// applies the value order once. Node-based, so key addresses are stable
+// (the walker's LeafShare pointers rely on it).
+using AggregateMap = std::unordered_map<Database, std::pair<Rational, size_t>,
+                                        RepairKeyHash, RepairKeyEqual>;
 
 // Partial result of walking one subtree (or the whole tree, serially).
 // Counters mirror EnumerationResult; `hit_cap` reports that the walker's
@@ -133,8 +169,8 @@ class SubtreeWalker {
 
  private:
   // One logged leaf contribution: the frozen repair (a stable pointer into
-  // out_.aggregated — std::map nodes never move) with the absolute mass
-  // and sequence count it received.
+  // out_.aggregated — unordered_map nodes never move, rehashing included)
+  // with the absolute mass and sequence count it received.
   struct LeafShare {
     const Database* repair;
     Rational mass;
@@ -184,10 +220,15 @@ class SubtreeWalker {
         std::max(out_.max_depth, state.depth() + outcome.depth_below);
     for (const MemoOutcome::RepairShare& share : outcome.repairs) {
       // Shares store the ids deleted below this state (repair/memo.h):
-      // reconstruct the repair from the live database — the same id-vector
-      // copy the aggregation key needed under full-payload storage.
-      auto [it, inserted] =
-          out_.aggregated.try_emplace(ReconstructRepair(state, share));
+      // probe with the live database minus those ids, and reconstruct the
+      // repair only when it is new to this walk.
+      const Database& base = state.current();
+      auto it = out_.aggregated.find(
+          RepairProbe{base, share.removed, base.HashWithout(share.removed)});
+      if (it == out_.aggregated.end()) {
+        Database repair = ReconstructRepair(state, share);
+        it = out_.aggregated.try_emplace(std::move(repair)).first;
+      }
       Rational contribution = share.mass * mass;
       it->second.first += contribution;
       it->second.second += share.num_sequences;
@@ -204,31 +245,27 @@ class SubtreeWalker {
   void CloseFrame(const StateKey& key, const RepairingState& state,
                   const Rational& mass, const Frame& frame,
                   size_t depth_below) {
-    // Group the segment by repair. Equal repairs share one map node, so
-    // grouping needs only pointer identity — cheap — and the full
-    // Database value comparisons are saved for the (much smaller)
-    // compressed list, whose deterministic value order the stored entry
-    // and the log replacement both use.
-    std::vector<LeafShare> grouped(log_.begin() + frame.log_pos, log_.end());
-    std::sort(grouped.begin(), grouped.end(),
-              [](const LeafShare& a, const LeafShare& b) {
-                return a.repair < b.repair;
-              });
-    std::vector<LeafShare> compressed;
-    for (LeafShare& share : grouped) {
-      if (!compressed.empty() && compressed.back().repair == share.repair) {
-        compressed.back().mass += share.mass;
-        compressed.back().sequences += share.sequences;
+    // Compress the segment in place to one entry per repair. Equal repairs
+    // share one map node, so grouping needs only pointer identity — cheap
+    // — and the full Database value comparisons are saved for the (much
+    // smaller) compressed tail of a recorded entry, which stores it in
+    // value order. Enclosing frames regroup by pointer and need no order.
+    // An empty segment (only failing leaves below) compresses to nothing.
+    auto first = log_.begin() + static_cast<ptrdiff_t>(frame.log_pos);
+    std::sort(first, log_.end(), [](const LeafShare& a, const LeafShare& b) {
+      return a.repair < b.repair;
+    });
+    auto last = first;  // end of the compressed prefix
+    for (auto it = first; it != log_.end(); ++it) {
+      if (last != first && (last - 1)->repair == it->repair) {
+        (last - 1)->mass += it->mass;
+        (last - 1)->sequences += it->sequences;
       } else {
-        compressed.push_back(std::move(share));
+        if (last != it) *last = std::move(*it);
+        ++last;
       }
     }
-    std::sort(compressed.begin(), compressed.end(),
-              [](const LeafShare& a, const LeafShare& b) {
-                return *a.repair < *b.repair;
-              });
-    log_.resize(frame.log_pos);
-    log_.insert(log_.end(), compressed.begin(), compressed.end());
+    log_.erase(last, log_.end());
     // Zero-mass subtrees (reachable only with pruning disabled) cannot be
     // normalized; they are simply not recorded. Absorbing leaves are not
     // worth an entry either: replaying one saves a single near-trivial
@@ -250,9 +287,14 @@ class SubtreeWalker {
     outcome->success_mass = (out_.success_mass - frame.success_mass) / mass;
     outcome->failing_mass = (out_.failing_mass - frame.failing_mass) / mass;
     outcome->depth_below = depth_below;
-    outcome->repairs.reserve(compressed.size());
+    first = log_.begin() + static_cast<ptrdiff_t>(frame.log_pos);
+    std::sort(first, log_.end(), [](const LeafShare& a, const LeafShare& b) {
+      return *a.repair < *b.repair;
+    });
+    outcome->repairs.reserve(log_.size() - frame.log_pos);
     std::vector<FactId> removed_below, resurrected;
-    for (const LeafShare& share : compressed) {
+    for (auto it = first; it != log_.end(); ++it) {
+      const LeafShare& share = *it;
       // Store the repair as its removed-id delta below this state
       // (repair/memo.h): on the deletion-only chains memoization is
       // gated to, every leaf database is a subset of this subtree root.
@@ -291,8 +333,11 @@ void Accumulate(SubtreeResult&& partial, EnumerationResult* result,
   result->success_mass += partial.success_mass;
   result->failing_mass += partial.failing_mass;
   result->max_depth = std::max(result->max_depth, partial.max_depth);
+  // Repairs new to the merged map move over as nodes; the ones left
+  // behind are already present and add their mass.
+  aggregated->merge(partial.aggregated);
   for (auto& [repair, info] : partial.aggregated) {
-    auto& slot = (*aggregated)[repair];
+    auto& slot = aggregated->at(repair);
     slot.first += info.first;
     slot.second += info.second;
   }
@@ -301,16 +346,25 @@ void Accumulate(SubtreeResult&& partial, EnumerationResult* result,
 // Sorts the aggregated repairs into the result (most probable first, ties
 // by database order) and builds the binary-search index for ProbabilityOf.
 void Assemble(AggregateMap&& aggregated, EnumerationResult* result) {
-  result->repairs.reserve(aggregated.size());
-  for (auto& [repair, info] : aggregated) {
-    result->repairs.push_back(RepairInfo{repair, info.first, info.second});
+  // Sort iterators (cheap swaps), then move each entry out of its node.
+  std::vector<AggregateMap::iterator> order;
+  order.reserve(aggregated.size());
+  for (auto it = aggregated.begin(); it != aggregated.end(); ++it) {
+    order.push_back(it);
   }
-  std::sort(result->repairs.begin(), result->repairs.end(),
-            [](const RepairInfo& a, const RepairInfo& b) {
-              int cmp = a.probability.Compare(b.probability);
+  std::sort(order.begin(), order.end(),
+            [](AggregateMap::iterator a, AggregateMap::iterator b) {
+              int cmp = a->second.first.Compare(b->second.first);
               if (cmp != 0) return cmp > 0;
-              return a.repair < b.repair;
+              return a->first < b->first;
             });
+  result->repairs.reserve(order.size());
+  for (AggregateMap::iterator it : order) {
+    auto node = aggregated.extract(it);
+    result->repairs.push_back(RepairInfo{std::move(node.key()),
+                                         std::move(node.mapped().first),
+                                         node.mapped().second});
+  }
   result->repairs_by_database.resize(result->repairs.size());
   std::iota(result->repairs_by_database.begin(),
             result->repairs_by_database.end(), 0u);

@@ -25,7 +25,6 @@
 #ifndef OPCQA_REPAIR_REPAIR_ENUMERATOR_H_
 #define OPCQA_REPAIR_REPAIR_ENUMERATOR_H_
 
-#include <map>
 #include <string>
 #include <vector>
 

@@ -1,9 +1,11 @@
 #include "util/bigint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <ostream>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -13,83 +15,142 @@ namespace {
 
 constexpr uint64_t kBase = uint64_t{1} << 32;
 
-// Small-value fast-path helpers: a magnitude of at most 2 limbs is a
-// uint64. (Normalized vectors make the size test exact.)
-inline bool FitsU64(const std::vector<uint32_t>& limbs) {
-  return limbs.size() <= 2;
+// Magnitude kernels over raw little-endian limb arrays. Inputs are
+// normalized. Each kernel reads the input limbs at an index before it
+// writes the output limb at that index, so `out` may alias an input
+// (MulMag excepted).
+
+size_t NormalizedSize(const uint32_t* limbs, size_t n) {
+  while (n > 0 && limbs[n - 1] == 0) --n;
+  return n;
 }
 
-inline uint64_t MagU64(const std::vector<uint32_t>& limbs) {
-  uint64_t value = limbs.empty() ? 0 : limbs[0];
-  if (limbs.size() > 1) value |= static_cast<uint64_t>(limbs[1]) << 32;
-  return value;
-}
-
-// Writes a uint64 magnitude into an existing limb vector, reusing its
-// capacity (no allocation once the vector has ever held ≥ 2 limbs).
-inline void SetMagU64(std::vector<uint32_t>* limbs, uint64_t value) {
-  limbs->clear();
-  if (value != 0) limbs->push_back(static_cast<uint32_t>(value));
-  if (value >> 32) limbs->push_back(static_cast<uint32_t>(value >> 32));
-}
-
-#if defined(__SIZEOF_INT128__)
-inline void SetMagU128(std::vector<uint32_t>* limbs, unsigned __int128 value) {
-  limbs->clear();
-  while (value != 0) {
-    limbs->push_back(static_cast<uint32_t>(value));
-    value >>= 32;
+int CompareMag(const uint32_t* a, size_t an, const uint32_t* b, size_t bn) {
+  if (an != bn) return an < bn ? -1 : 1;
+  for (size_t i = an; i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
   }
+  return 0;
 }
-#endif
 
-// Signed ≤64-bit addition: the shared core of the operator+ / operator-
-// fast paths (subtraction passes !b_negative). Writes the canonical
-// magnitude/sign directly — no Canonicalize() needed afterwards.
-inline void AddSignedU64(uint64_t a, bool a_negative, uint64_t b,
-                         bool b_negative, std::vector<uint32_t>* limbs,
-                         bool* negative) {
-  if (a_negative == b_negative) {
-    uint64_t sum = a + b;
-    bool carry = sum < a;
-    // The magnitude is zero only when there was no carry AND the low 64
-    // bits are zero — a carry means the true value is 2^64 + sum.
-    *negative = (carry || sum != 0) && a_negative;
-    if (carry) {
-      // Carry into bit 64: the full 65-bit magnitude, low limbs explicit.
-      *limbs = {static_cast<uint32_t>(sum), static_cast<uint32_t>(sum >> 32),
-                1u};
+// out = |a| + |b|; `out` holds max(an, bn) + 1 limbs. Returns the size.
+size_t AddMag(const uint32_t* a, size_t an, const uint32_t* b, size_t bn,
+              uint32_t* out) {
+  size_t n = std::max(an, bn);
+  uint64_t carry = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t sum = carry + (i < an ? a[i] : 0u) + (i < bn ? b[i] : 0u);
+    out[i] = static_cast<uint32_t>(sum);
+    carry = sum >> 32;
+  }
+  if (carry) out[n++] = static_cast<uint32_t>(carry);
+  return n;
+}
+
+// out = |a| − |b|, requiring |a| >= |b|; `out` holds an limbs. Returns the
+// normalized size.
+size_t SubMag(const uint32_t* a, size_t an, const uint32_t* b, size_t bn,
+              uint32_t* out) {
+  int64_t borrow = 0;
+  for (size_t i = 0; i < an; ++i) {
+    int64_t diff = static_cast<int64_t>(a[i]) - borrow -
+                   (i < bn ? static_cast<int64_t>(b[i]) : 0);
+    if (diff < 0) {
+      diff += static_cast<int64_t>(kBase);
+      borrow = 1;
     } else {
-      SetMagU64(limbs, sum);
+      borrow = 0;
     }
-  } else if (a == b) {
-    limbs->clear();
-    *negative = false;
-  } else if (a > b) {
-    SetMagU64(limbs, a - b);
-    *negative = a_negative;
-  } else {
-    SetMagU64(limbs, b - a);
-    *negative = b_negative;
+    out[i] = static_cast<uint32_t>(diff);
   }
+  OPCQA_CHECK_EQ(borrow, 0) << "SubMag requires |a| >= |b|";
+  return NormalizedSize(out, an);
+}
+
+// out = |a| · |b|; `out` holds an + bn zeroed limbs and aliases neither
+// input. Returns the normalized size.
+size_t MulMag(const uint32_t* a, size_t an, const uint32_t* b, size_t bn,
+              uint32_t* out) {
+  for (size_t i = 0; i < an; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < bn; ++j) {
+      uint64_t cur = static_cast<uint64_t>(a[i]) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<uint32_t>(cur);
+      carry = cur >> 32;
+    }
+    size_t k = i + bn;
+    while (carry) {
+      uint64_t cur = out[k] + carry;
+      out[k] = static_cast<uint32_t>(cur);
+      carry = cur >> 32;
+      ++k;
+    }
+  }
+  return NormalizedSize(out, an + bn);
 }
 
 }  // namespace
 
 BigInt::BigInt(int64_t value) {
-  negative_ = value < 0;
   // Avoid UB on INT64_MIN: negate in unsigned space.
-  uint64_t mag = negative_ ? ~static_cast<uint64_t>(value) + 1
+  uint64_t mag = value < 0 ? ~static_cast<uint64_t>(value) + 1
                            : static_cast<uint64_t>(value);
-  if (mag != 0) limbs_.push_back(static_cast<uint32_t>(mag));
-  if (mag >> 32) limbs_.push_back(static_cast<uint32_t>(mag >> 32));
-  Canonicalize();
+  SetU64(mag);
+  negative_ = value < 0;
 }
 
-BigInt::BigInt(uint64_t value) {
-  if (value != 0) limbs_.push_back(static_cast<uint32_t>(value));
-  if (value >> 32) limbs_.push_back(static_cast<uint32_t>(value >> 32));
+BigInt::BigInt(uint64_t value) { SetU64(value); }
+
+void BigInt::AssignSlow(const BigInt& other) {
+  size_ = 0;  // nothing of the old value needs to survive Reserve
+  Reserve(other.size_);
+  std::copy_n(other.limbs(), other.size_, limbs());
+  size_ = other.size_;
+  negative_ = other.negative_;
 }
+
+void BigInt::Reserve(uint32_t n) {
+  if (n <= capacity_) return;
+  auto* buffer = new uint32_t[n];
+  std::copy_n(limbs(), size_, buffer);
+  if (on_heap()) delete[] heap_;
+  heap_ = buffer;
+  capacity_ = n;
+}
+
+uint64_t BigInt::LowU64() const {
+  const uint32_t* l = limbs();
+  uint64_t value = size_ > 0 ? l[0] : 0;
+  if (size_ > 1) value |= static_cast<uint64_t>(l[1]) << 32;
+  return value;
+}
+
+void BigInt::SetU64(uint64_t value) {
+  uint32_t* l = limbs();  // capacity is at least kInlineLimbs
+  size_ = 0;
+  if (value != 0) l[size_++] = static_cast<uint32_t>(value);
+  if (value >> 32) l[size_++] = static_cast<uint32_t>(value >> 32);
+}
+
+#if defined(__SIZEOF_INT128__)
+unsigned __int128 BigInt::LowU128() const {
+  const uint32_t* l = limbs();
+  unsigned __int128 value = 0;
+  for (size_t i = std::min<size_t>(size_, 4); i-- > 0;) {
+    value = (value << 32) | l[i];
+  }
+  return value;
+}
+
+void BigInt::SetU128(unsigned __int128 value) {
+  uint32_t* l = limbs();  // capacity is at least kInlineLimbs
+  size_ = 0;
+  while (value != 0) {
+    l[size_++] = static_cast<uint32_t>(value);
+    value >>= 32;
+  }
+}
+#endif
 
 Result<BigInt> BigInt::FromString(std::string_view text) {
   if (text.empty()) return Status::InvalidArgument("empty integer literal");
@@ -116,19 +177,18 @@ Result<BigInt> BigInt::FromString(std::string_view text) {
 }
 
 bool BigInt::FitsInt64() const {
-  if (limbs_.size() > 2) return false;
-  if (limbs_.size() < 2) return true;
-  uint64_t mag = (static_cast<uint64_t>(limbs_[1]) << 32) | limbs_[0];
+  if (size_ > 2) return false;
+  if (size_ < 2) return true;
+  uint64_t mag = LowU64();
   return negative_ ? mag <= (uint64_t{1} << 63)
                    : mag < (uint64_t{1} << 63);
 }
 
 int64_t BigInt::ToInt64() const {
   OPCQA_CHECK(FitsInt64()) << "BigInt does not fit int64: " << ToString();
-  uint64_t mag = 0;
-  if (!limbs_.empty()) mag = limbs_[0];
-  if (limbs_.size() > 1) mag |= static_cast<uint64_t>(limbs_[1]) << 32;
-  return negative_ ? -static_cast<int64_t>(mag) : static_cast<int64_t>(mag);
+  uint64_t mag = LowU64();
+  // Negate in unsigned space: -2^63 has no positive int64 counterpart.
+  return static_cast<int64_t>(negative_ ? ~mag + 1 : mag);
 }
 
 BigInt BigInt::operator-() const {
@@ -143,276 +203,114 @@ BigInt BigInt::Abs() const {
   return result;
 }
 
-void BigInt::Normalize(std::vector<uint32_t>* limbs) {
-  while (!limbs->empty() && limbs->back() == 0) limbs->pop_back();
-}
-
-void BigInt::Canonicalize() {
-  Normalize(&limbs_);
-  if (limbs_.empty()) negative_ = false;
-}
-
-void BigInt::AddMagInPlace(std::vector<uint32_t>* a,
-                           const std::vector<uint32_t>& b) {
-  if (b.size() > a->size()) a->resize(b.size(), 0);
-  uint64_t carry = 0;
-  for (size_t i = 0; i < a->size(); ++i) {
-    uint64_t sum = carry + (*a)[i] + (i < b.size() ? b[i] : 0u);
-    (*a)[i] = static_cast<uint32_t>(sum);
-    carry = sum >> 32;
-  }
-  if (carry) a->push_back(static_cast<uint32_t>(carry));
-}
-
-void BigInt::SubMagInPlace(std::vector<uint32_t>* a,
-                           const std::vector<uint32_t>& b) {
-  int64_t borrow = 0;
-  for (size_t i = 0; i < a->size(); ++i) {
-    int64_t diff = static_cast<int64_t>((*a)[i]) - borrow -
-                   (i < b.size() ? static_cast<int64_t>(b[i]) : 0);
-    if (diff < 0) {
-      diff += static_cast<int64_t>(kBase);
-      borrow = 1;
+void BigInt::AddInPlace(const BigInt& other, bool other_negative) {
+  if (FitsU64() && other.FitsU64()) {
+    // Both magnitudes are read before anything is written: alias-safe.
+    uint64_t a = LowU64();
+    uint64_t b = other.LowU64();
+    bool a_negative = negative_;
+    if (a_negative == other_negative) {
+      uint64_t sum = a + b;
+      if (sum < a) {
+        // Carry into bit 64: the 65-bit magnitude 2^64 + sum.
+        uint32_t* l = limbs();
+        l[0] = static_cast<uint32_t>(sum);
+        l[1] = static_cast<uint32_t>(sum >> 32);
+        l[2] = 1u;
+        size_ = 3;
+      } else {
+        SetU64(sum);
+      }
+      negative_ = size_ != 0 && a_negative;
+    } else if (a >= b) {
+      SetU64(a - b);
+      negative_ = size_ != 0 && a_negative;
     } else {
-      borrow = 0;
-    }
-    (*a)[i] = static_cast<uint32_t>(diff);
-  }
-  OPCQA_CHECK_EQ(borrow, 0) << "SubMagInPlace requires |a| >= |b|";
-  Normalize(a);
-}
-
-std::vector<uint32_t> BigInt::AddMag(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b) {
-  const auto& longer = a.size() >= b.size() ? a : b;
-  const auto& shorter = a.size() >= b.size() ? b : a;
-  std::vector<uint32_t> result;
-  result.reserve(longer.size() + 1);
-  uint64_t carry = 0;
-  for (size_t i = 0; i < longer.size(); ++i) {
-    uint64_t sum = carry + longer[i] + (i < shorter.size() ? shorter[i] : 0u);
-    result.push_back(static_cast<uint32_t>(sum));
-    carry = sum >> 32;
-  }
-  if (carry) result.push_back(static_cast<uint32_t>(carry));
-  return result;
-}
-
-std::vector<uint32_t> BigInt::SubMag(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> result;
-  result.reserve(a.size());
-  int64_t borrow = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    int64_t diff = static_cast<int64_t>(a[i]) - borrow -
-                   (i < b.size() ? static_cast<int64_t>(b[i]) : 0);
-    if (diff < 0) {
-      diff += static_cast<int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    result.push_back(static_cast<uint32_t>(diff));
-  }
-  OPCQA_CHECK_EQ(borrow, 0) << "SubMag requires |a| >= |b|";
-  Normalize(&result);
-  return result;
-}
-
-std::vector<uint32_t> BigInt::MulMag(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b) {
-  if (a.empty() || b.empty()) return {};
-  std::vector<uint32_t> result(a.size() + b.size(), 0);
-  for (size_t i = 0; i < a.size(); ++i) {
-    uint64_t carry = 0;
-    for (size_t j = 0; j < b.size(); ++j) {
-      uint64_t cur = static_cast<uint64_t>(a[i]) * b[j] + result[i + j] + carry;
-      result[i + j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    size_t k = i + b.size();
-    while (carry) {
-      uint64_t cur = result[k] + carry;
-      result[k] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
-  }
-  Normalize(&result);
-  return result;
-}
-
-int BigInt::CompareMag(const std::vector<uint32_t>& a,
-                       const std::vector<uint32_t>& b) {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (size_t i = a.size(); i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-// Shift-and-subtract long division on magnitudes: O(n * m) bit steps done
-// limb-wise. Adequate for the limb counts this library produces (repair
-// probabilities over chains of polynomial depth).
-void BigInt::DivModMag(const std::vector<uint32_t>& a,
-                       const std::vector<uint32_t>& b,
-                       std::vector<uint32_t>* quotient,
-                       std::vector<uint32_t>* remainder) {
-  OPCQA_CHECK(!b.empty()) << "division by zero";
-  quotient->clear();
-  remainder->clear();
-  if (CompareMag(a, b) < 0) {
-    *remainder = a;
-    return;
-  }
-  // Fast path: both magnitudes fit uint64 — one native division.
-  if (FitsU64(a) && FitsU64(b)) {
-    uint64_t dividend = MagU64(a);
-    uint64_t divisor = MagU64(b);
-    SetMagU64(quotient, dividend / divisor);
-    SetMagU64(remainder, dividend % divisor);
-    return;
-  }
-  // Fast path: single-limb divisor.
-  if (b.size() == 1) {
-    uint64_t divisor = b[0];
-    quotient->assign(a.size(), 0);
-    uint64_t rem = 0;
-    for (size_t i = a.size(); i-- > 0;) {
-      uint64_t cur = (rem << 32) | a[i];
-      (*quotient)[i] = static_cast<uint32_t>(cur / divisor);
-      rem = cur % divisor;
-    }
-    Normalize(quotient);
-    if (rem != 0) {
-      remainder->push_back(static_cast<uint32_t>(rem));
-      if (rem >> 32) remainder->push_back(static_cast<uint32_t>(rem >> 32));
+      SetU64(b - a);
+      negative_ = other_negative;
     }
     return;
   }
-  // General case: process dividend bits from most significant to least.
-  size_t total_bits = a.size() * 32;
-  std::vector<uint32_t> rem;
-  std::vector<uint32_t> quot(a.size(), 0);
-  for (size_t bit = total_bits; bit-- > 0;) {
-    // rem = rem * 2 + bit(a, bit)
-    uint32_t carry = 0;
-    for (size_t i = 0; i < rem.size(); ++i) {
-      uint32_t next_carry = rem[i] >> 31;
-      rem[i] = (rem[i] << 1) | carry;
-      carry = next_carry;
-    }
-    if (carry) rem.push_back(1);
-    uint32_t a_bit = (a[bit / 32] >> (bit % 32)) & 1u;
-    if (a_bit) {
-      if (rem.empty()) rem.push_back(0);
-      rem[0] |= 1u;
-    }
-    if (CompareMag(rem, b) >= 0) {
-      rem = SubMag(rem, b);
-      quot[bit / 32] |= (1u << (bit % 32));
-    }
+  // Limb pointers are taken after Reserve, so `other` may be *this.
+  if (negative_ == other_negative) {
+    Reserve(std::max(size_, other.size_) + 1);
+    size_ = static_cast<uint32_t>(
+        AddMag(limbs(), size_, other.limbs(), other.size_, limbs()));
+    return;
   }
-  Normalize(&quot);
-  *quotient = std::move(quot);
-  *remainder = std::move(rem);
+  int cmp = CompareMag(limbs(), size_, other.limbs(), other.size_);
+  if (cmp == 0) {
+    size_ = 0;
+    negative_ = false;
+  } else if (cmp > 0) {
+    size_ = static_cast<uint32_t>(
+        SubMag(limbs(), size_, other.limbs(), other.size_, limbs()));
+  } else {
+    // |other| dominates: compute |other| − |this| and take other's sign.
+    Reserve(other.size_);
+    size_ = static_cast<uint32_t>(
+        SubMag(other.limbs(), other.size_, limbs(), size_, limbs()));
+    negative_ = other_negative;
+  }
+}
+
+BigInt BigInt::Sum(const BigInt& a, const BigInt& b, bool b_negative) {
+  BigInt result;
+  result.Reserve(std::max(a.size_, b.size_) + 1);
+  std::copy_n(a.limbs(), a.size_, result.limbs());
+  result.size_ = a.size_;
+  result.negative_ = a.negative_;
+  result.AddInPlace(b, b_negative);
+  return result;
 }
 
 BigInt BigInt::operator+(const BigInt& other) const {
-  BigInt result;
-  if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
-    AddSignedU64(MagU64(limbs_), negative_, MagU64(other.limbs_),
-                 other.negative_, &result.limbs_, &result.negative_);
-    return result;
-  }
-  if (negative_ == other.negative_) {
-    result.limbs_ = AddMag(limbs_, other.limbs_);
-    result.negative_ = negative_;
-  } else {
-    int cmp = CompareMag(limbs_, other.limbs_);
-    if (cmp == 0) return BigInt();
-    if (cmp > 0) {
-      result.limbs_ = SubMag(limbs_, other.limbs_);
-      result.negative_ = negative_;
-    } else {
-      result.limbs_ = SubMag(other.limbs_, limbs_);
-      result.negative_ = other.negative_;
-    }
-  }
-  result.Canonicalize();
-  return result;
+  return Sum(*this, other, other.negative_);
 }
 
 BigInt BigInt::operator-(const BigInt& other) const {
-  if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
-    // Subtraction is addition with other's sign flipped, skipping the
-    // limb-vector copy that materializing `-other` would make.
-    BigInt result;
-    AddSignedU64(MagU64(limbs_), negative_, MagU64(other.limbs_),
-                 !other.negative_, &result.limbs_, &result.negative_);
-    return result;
-  }
-  return *this + (-other);
+  return Sum(*this, other, !other.negative_);
 }
 
 BigInt BigInt::operator*(const BigInt& other) const {
   BigInt result;
 #if defined(__SIZEOF_INT128__)
-  if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
-    // ≤64-bit × ≤64-bit: one native 128-bit multiply, no MulMag temporary.
-    unsigned __int128 product =
-        static_cast<unsigned __int128>(MagU64(limbs_)) * MagU64(other.limbs_);
-    SetMagU128(&result.limbs_, product);
-    result.negative_ = negative_ != other.negative_;
-    result.Canonicalize();
+  if (FitsU64() && other.FitsU64()) {
+    // ≤64-bit × ≤64-bit: one native 128-bit multiply.
+    result.SetU128(static_cast<unsigned __int128>(LowU64()) *
+                   other.LowU64());
+    result.negative_ = !result.is_zero() && negative_ != other.negative_;
     return result;
   }
 #endif
-  result.limbs_ = MulMag(limbs_, other.limbs_);
+  if (is_zero() || other.is_zero()) return result;
+  uint32_t n = size_ + other.size_;
+  result.Reserve(n);
+  std::fill_n(result.limbs(), n, 0u);
+  result.size_ = static_cast<uint32_t>(
+      MulMag(limbs(), size_, other.limbs(), other.size_, result.limbs()));
   result.negative_ = negative_ != other.negative_;
-  result.Canonicalize();
   return result;
 }
 
 BigInt& BigInt::operator+=(const BigInt& other) {
-  if (negative_ == other.negative_) {
-    AddMagInPlace(&limbs_, other.limbs_);
-  } else {
-    int cmp = CompareMag(limbs_, other.limbs_);
-    if (cmp == 0) {
-      limbs_.clear();
-    } else if (cmp > 0) {
-      SubMagInPlace(&limbs_, other.limbs_);
-    } else {
-      // |other| dominates: compute |other| − |this| and take other's sign.
-      limbs_ = SubMag(other.limbs_, limbs_);
-      negative_ = other.negative_;
-    }
-  }
-  Canonicalize();
+  AddInPlace(other, other.negative_);
   return *this;
 }
 
 BigInt& BigInt::operator-=(const BigInt& other) {
-  if (&other == this) {  // self-subtraction: negating `other` below would
-    limbs_.clear();      // read the already-flipped sign
-    negative_ = false;
-    return *this;
-  }
-  negative_ = !negative_;
-  *this += other;
-  if (!limbs_.empty()) negative_ = !negative_;
+  AddInPlace(other, !other.negative_);
   return *this;
 }
 
 BigInt& BigInt::operator*=(const BigInt& other) {
 #if defined(__SIZEOF_INT128__)
-  if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
+  if (FitsU64() && other.FitsU64()) {
     unsigned __int128 product =
-        static_cast<unsigned __int128>(MagU64(limbs_)) * MagU64(other.limbs_);
-    negative_ = negative_ != other.negative_;
-    SetMagU128(&limbs_, product);
-    Canonicalize();
+        static_cast<unsigned __int128>(LowU64()) * other.LowU64();
+    bool negative = negative_ != other.negative_;
+    SetU128(product);
+    negative_ = !is_zero() && negative;
     return *this;
   }
 #endif
@@ -422,10 +320,11 @@ BigInt& BigInt::operator*=(const BigInt& other) {
 
 BigInt& BigInt::operator/=(const BigInt& other) {
   OPCQA_CHECK(!other.is_zero()) << "division by zero";
-  if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
-    uint64_t q = MagU64(limbs_) / MagU64(other.limbs_);
-    negative_ = q != 0 && (negative_ != other.negative_);
-    SetMagU64(&limbs_, q);
+  if (FitsU64() && other.FitsU64()) {
+    uint64_t q = LowU64() / other.LowU64();
+    bool negative = q != 0 && negative_ != other.negative_;
+    SetU64(q);
+    negative_ = negative;
     return *this;
   }
   return *this = *this / other;
@@ -433,26 +332,91 @@ BigInt& BigInt::operator/=(const BigInt& other) {
 
 BigInt& BigInt::operator%=(const BigInt& other) {
   OPCQA_CHECK(!other.is_zero()) << "division by zero";
-  if (FitsU64(limbs_) && FitsU64(other.limbs_)) {
-    uint64_t r = MagU64(limbs_) % MagU64(other.limbs_);
-    negative_ = r != 0 && negative_;  // remainder keeps the dividend's sign
-    SetMagU64(&limbs_, r);
+  if (FitsU64() && other.FitsU64()) {
+    uint64_t r = LowU64() % other.LowU64();
+    bool negative = r != 0 && negative_;  // remainder keeps dividend's sign
+    SetU64(r);
+    negative_ = negative;
     return *this;
   }
   return *this = *this % other;
 }
 
+void BigInt::DivModMag(const BigInt& a, const BigInt& b, BigInt* q,
+                       BigInt* r) {
+  const uint32_t* x = a.limbs();
+  const uint32_t* y = b.limbs();
+  if (CompareMag(x, a.size_, y, b.size_) < 0) {
+    r->Reserve(a.size_);
+    std::copy_n(x, a.size_, r->limbs());
+    r->size_ = a.size_;
+    return;
+  }
+  // Fast paths: both magnitudes fit one native integer.
+  if (a.FitsU64() && b.FitsU64()) {
+    uint64_t dividend = a.LowU64();
+    uint64_t divisor = b.LowU64();
+    q->SetU64(dividend / divisor);
+    r->SetU64(dividend % divisor);
+    return;
+  }
+#if defined(__SIZEOF_INT128__)
+  if (a.FitsU128() && b.FitsU128()) {
+    unsigned __int128 dividend = a.LowU128();
+    unsigned __int128 divisor = b.LowU128();
+    q->SetU128(dividend / divisor);
+    r->SetU128(dividend % divisor);
+    return;
+  }
+#endif
+  q->Reserve(a.size_);
+  uint32_t* quot = q->limbs();
+  std::fill_n(quot, a.size_, 0u);
+  if (b.size_ == 1) {
+    // Single-limb divisor: one pass of 64-by-32 divisions.
+    uint64_t divisor = y[0];
+    uint64_t rem = 0;
+    for (size_t i = a.size_; i-- > 0;) {
+      uint64_t cur = (rem << 32) | x[i];
+      quot[i] = static_cast<uint32_t>(cur / divisor);
+      rem = cur % divisor;
+    }
+    q->size_ = static_cast<uint32_t>(NormalizedSize(quot, a.size_));
+    r->SetU64(rem);
+    return;
+  }
+  // General case: shift-and-subtract over the dividend's bits, most
+  // significant first. The running remainder stays below 2|b|.
+  r->Reserve(b.size_ + 1);
+  uint32_t* rem = r->limbs();
+  size_t rn = 0;
+  for (size_t bit = size_t{a.size_} * 32; bit-- > 0;) {
+    // rem = rem * 2 + bit(a, bit)
+    uint32_t carry = (x[bit / 32] >> (bit % 32)) & 1u;
+    for (size_t i = 0; i < rn; ++i) {
+      uint32_t next_carry = rem[i] >> 31;
+      rem[i] = (rem[i] << 1) | carry;
+      carry = next_carry;
+    }
+    if (carry) rem[rn++] = carry;
+    if (CompareMag(rem, rn, y, b.size_) >= 0) {
+      rn = SubMag(rem, rn, y, b.size_, rem);
+      quot[bit / 32] |= (1u << (bit % 32));
+    }
+  }
+  q->size_ = static_cast<uint32_t>(NormalizedSize(quot, a.size_));
+  r->size_ = static_cast<uint32_t>(rn);
+}
+
 void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                     BigInt* remainder) {
-  std::vector<uint32_t> q;
-  std::vector<uint32_t> r;
-  DivModMag(a.limbs_, b.limbs_, &q, &r);
-  quotient->limbs_ = std::move(q);
-  quotient->negative_ = a.negative_ != b.negative_;
-  quotient->Canonicalize();
-  remainder->limbs_ = std::move(r);
-  remainder->negative_ = a.negative_;
-  remainder->Canonicalize();
+  OPCQA_CHECK(!b.is_zero()) << "division by zero";
+  BigInt q, r;
+  DivModMag(a, b, &q, &r);
+  q.negative_ = !q.is_zero() && a.negative_ != b.negative_;
+  r.negative_ = !r.is_zero() && a.negative_;
+  *quotient = std::move(q);
+  *remainder = std::move(r);
 }
 
 BigInt BigInt::operator/(const BigInt& other) const {
@@ -472,10 +436,9 @@ BigInt BigInt::Gcd(BigInt a, BigInt b) {
   b.negative_ = false;
   while (!b.is_zero()) {
     // Euclid contracts operands quickly; once both magnitudes fit uint64
-    // (immediately, for Rational::Reduce on small values) finish natively
-    // without any per-step remainder allocation.
-    if (FitsU64(a.limbs_) && FitsU64(b.limbs_)) {
-      SetMagU64(&a.limbs_, std::gcd(MagU64(a.limbs_), MagU64(b.limbs_)));
+    // (immediately, for Rational::Reduce on small values) finish natively.
+    if (a.FitsU64() && b.FitsU64()) {
+      a.SetU64(std::gcd(a.LowU64(), b.LowU64()));
       return a;
     }
     BigInt r = a % b;
@@ -498,14 +461,14 @@ BigInt BigInt::Pow(uint32_t exponent) const {
 
 int BigInt::Compare(const BigInt& other) const {
   if (negative_ != other.negative_) return negative_ ? -1 : 1;
-  int mag = CompareMag(limbs_, other.limbs_);
+  int mag = CompareMag(limbs(), size_, other.limbs(), other.size_);
   return negative_ ? -mag : mag;
 }
 
 std::string BigInt::ToString() const {
   if (is_zero()) return "0";
   // Repeated division by 10^9.
-  std::vector<uint32_t> mag = limbs_;
+  std::vector<uint32_t> mag(limbs(), limbs() + size_);
   std::string digits;
   const uint64_t chunk = 1000000000;
   while (!mag.empty()) {
@@ -515,7 +478,7 @@ std::string BigInt::ToString() const {
       mag[i] = static_cast<uint32_t>(cur / chunk);
       rem = cur % chunk;
     }
-    Normalize(&mag);
+    mag.resize(NormalizedSize(mag.data(), mag.size()));
     for (int i = 0; i < 9; ++i) {
       digits.push_back(static_cast<char>('0' + rem % 10));
       rem /= 10;
@@ -528,14 +491,9 @@ std::string BigInt::ToString() const {
 }
 
 size_t BigInt::BitLength() const {
-  if (limbs_.empty()) return 0;
-  uint32_t top = limbs_.back();
-  size_t bits = (limbs_.size() - 1) * 32;
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  if (is_zero()) return 0;
+  return (size_t{size_} - 1) * 32 +
+         static_cast<size_t>(std::bit_width(limbs()[size_ - 1]));
 }
 
 void BigInt::ToMantissaExp(double* mantissa, int64_t* exponent) const {
@@ -544,28 +502,24 @@ void BigInt::ToMantissaExp(double* mantissa, int64_t* exponent) const {
     *exponent = 0;
     return;
   }
-  // Take the top (up to) 64 bits of the magnitude.
-  size_t bits = BitLength();
+  // The top (up to) 64 bits of the magnitude, msb moved to bit 63.
+  const uint32_t* l = limbs();
   uint64_t top = 0;
   int taken = 0;
-  for (size_t i = limbs_.size(); i-- > 0 && taken < 64;) {
-    top = (top << 32) | limbs_[i];
+  for (size_t i = size_; i-- > 0 && taken < 64;) {
+    top = (top << 32) | l[i];
     taken += 32;
   }
-  // `top` holds the top `taken` bits; significant bits within: bits
-  // mod 32 adjustment handled by shifting out leading zeros.
-  int lead_zeros =
-      taken - static_cast<int>(bits - (limbs_.size() - taken / 32) * 0);
-  (void)lead_zeros;
-  // Simpler: shift so the msb of `top` is bit (taken-1).
-  while ((top >> 63) == 0) {
-    top <<= 1;
-    --taken;
+  top <<= std::countl_zero(top);
+  double m = static_cast<double>(top) / std::ldexp(1.0, 64);
+  int64_t e = static_cast<int64_t>(BitLength());
+  // Rounding `top` to 53 bits can carry up to 2^64 (e.g. 2^64 − 1), which
+  // would give m == 1; keep m in [0.5, 1). The value m·2^e is unchanged.
+  if (m == 1.0) {
+    m = 0.5;
+    ++e;
   }
-  double m = static_cast<double>(top) / std::ldexp(1.0, 64);  // in [0.5, 1)
-  int64_t e = static_cast<int64_t>(bits);
-  if (negative_) m = -m;
-  *mantissa = m;
+  *mantissa = negative_ ? -m : m;
   *exponent = e;
 }
 
@@ -581,8 +535,9 @@ double BigInt::ToDouble() const {
 
 size_t BigInt::Hash() const {
   size_t h = negative_ ? 0x9e3779b97f4a7c15ULL : 0;
-  for (uint32_t limb : limbs_) {
-    h ^= limb + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  const uint32_t* l = limbs();
+  for (size_t i = 0; i < size_; ++i) {
+    h ^= l[i] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return h;
 }

@@ -5,24 +5,30 @@
 // weights; they overflow 64-bit integers after a few dozen chain levels.
 // BigInt provides the magnitude arithmetic Rational is built on.
 //
-// Representation: sign + little-endian vector of 32-bit limbs, normalized
-// (no leading zero limbs; zero has an empty limb vector and positive sign).
+// Representation: sign + little-endian 32-bit limbs, normalized (no
+// leading zero limbs; zero has no limbs and positive sign). Magnitudes of
+// up to kInlineLimbs = 4 limbs (|v| < 2^128) live inline in the object;
+// only larger ones own a heap buffer. Chain-edge probabilities and the
+// path masses of typical walks stay below 2^128 (a cold eight-query
+// session over the e5 key-violation instances allocates no limbs at all),
+// so Rational temporaries on the walk's hot path do not allocate.
+// sizeof(BigInt) is pinned at 32 bytes.
 //
 // Small-value fast paths: operands whose magnitude fits 64 bits (≤ 2
 // limbs) — the overwhelmingly common case for chain-edge probabilities and
 // the gcd/divmod calls of Rational::Reduce — multiply/divide through
-// native 64/128-bit arithmetic and Euclid on uint64, skipping the
-// vector-allocating MulMag/DivModMag machinery. Compound assignments
-// mutate the left operand's limb vector in place (reusing its capacity)
-// instead of rebuilding *this from a freshly allocated temporary.
+// native 64/128-bit arithmetic and Euclid on uint64; divisions whose
+// operands fit 128 bits use native 128-bit division. Compound assignments
+// mutate the left operand's limbs in place (reusing its storage) instead
+// of rebuilding *this from a temporary.
 
 #ifndef OPCQA_UTIL_BIGINT_H_
 #define OPCQA_UTIL_BIGINT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -32,6 +38,11 @@ class BigInt {
  public:
   /// Zero.
   BigInt() = default;
+  BigInt(const BigInt& other);
+  BigInt(BigInt&& other) noexcept;
+  BigInt& operator=(const BigInt& other);
+  BigInt& operator=(BigInt&& other) noexcept;
+  ~BigInt();
 
   /// From native integers (implicit by design: arithmetic with literals).
   BigInt(int64_t value);   // NOLINT
@@ -41,7 +52,7 @@ class BigInt {
   /// Parses an optionally signed decimal string, e.g. "-123456789...".
   static Result<BigInt> FromString(std::string_view text);
 
-  bool is_zero() const { return limbs_.empty(); }
+  bool is_zero() const { return size_ == 0; }
   bool is_negative() const { return negative_; }
   /// True when the value fits in int64_t.
   bool FitsInt64() const;
@@ -60,7 +71,7 @@ class BigInt {
   BigInt operator%(const BigInt& other) const;
 
   // In-place: accumulation loops (mass sums, MulMag-free small products)
-  // reuse the left operand's limb capacity instead of reallocating.
+  // reuse the left operand's limb storage instead of reallocating.
   BigInt& operator+=(const BigInt& other);
   BigInt& operator-=(const BigInt& other);
   BigInt& operator*=(const BigInt& other);
@@ -105,33 +116,99 @@ class BigInt {
   size_t Hash() const;
 
  private:
-  // Magnitude-only helpers; operands must be normalized.
-  // In-place |a| += |b| / |a| -= |b| (the latter requires |a| >= |b|).
-  // Alias-safe for a == b.
-  static void AddMagInPlace(std::vector<uint32_t>* a,
-                            const std::vector<uint32_t>& b);
-  static void SubMagInPlace(std::vector<uint32_t>* a,
-                            const std::vector<uint32_t>& b);
-  static std::vector<uint32_t> AddMag(const std::vector<uint32_t>& a,
-                                      const std::vector<uint32_t>& b);
-  // Requires |a| >= |b|.
-  static std::vector<uint32_t> SubMag(const std::vector<uint32_t>& a,
-                                      const std::vector<uint32_t>& b);
-  static std::vector<uint32_t> MulMag(const std::vector<uint32_t>& a,
-                                      const std::vector<uint32_t>& b);
-  static int CompareMag(const std::vector<uint32_t>& a,
-                        const std::vector<uint32_t>& b);
-  static void DivModMag(const std::vector<uint32_t>& a,
-                        const std::vector<uint32_t>& b,
-                        std::vector<uint32_t>* quotient,
-                        std::vector<uint32_t>* remainder);
-  static void Normalize(std::vector<uint32_t>* limbs);
+  static constexpr uint32_t kInlineLimbs = 4;
 
-  void Canonicalize();
+  bool on_heap() const { return capacity_ > kInlineLimbs; }
+  uint32_t* limbs() { return on_heap() ? heap_ : inline_; }
+  const uint32_t* limbs() const { return on_heap() ? heap_ : inline_; }
+  bool FitsU64() const { return size_ <= 2; }
+  uint64_t LowU64() const;
+  // Capacity for at least `n` limbs; keeps the current limbs.
+  void Reserve(uint32_t n);
+  // Copy assignment for values involving heap storage.
+  void AssignSlow(const BigInt& other);
+  void SetU64(uint64_t value);
+#if defined(__SIZEOF_INT128__)
+  bool FitsU128() const { return size_ <= 4; }
+  unsigned __int128 LowU128() const;
+  void SetU128(unsigned __int128 value);
+#endif
+  // *this += (other with sign `other_negative`), in place. Alias-safe.
+  void AddInPlace(const BigInt& other, bool other_negative);
+  // a + (b with sign `b_negative`) into a fresh value.
+  static BigInt Sum(const BigInt& a, const BigInt& b, bool b_negative);
+  // Magnitude division into fresh q/r (neither may alias a or b).
+  static void DivModMag(const BigInt& a, const BigInt& b, BigInt* q,
+                        BigInt* r);
 
+  // Storage: inline_ while capacity_ == kInlineLimbs, heap_ (owning,
+  // capacity_ limbs) once a magnitude outgrew it. Moves copy the union's
+  // bytes whole, which carries either the limbs or the heap pointer.
+  union {
+    uint32_t inline_[kInlineLimbs] = {};
+    uint32_t* heap_;
+  };
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInlineLimbs;
   bool negative_ = false;
-  std::vector<uint32_t> limbs_;  // little-endian, base 2^32
 };
+
+// The special members are inline: Rational temporaries copy, move and
+// destroy BigInts on every walk step, and for inline values each is a few
+// word moves.
+
+inline BigInt::BigInt(const BigInt& other)
+    : size_(other.size_), negative_(other.negative_) {
+  if (other.on_heap()) {
+    AssignSlow(other);
+  } else {
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+  }
+}
+
+inline BigInt::BigInt(BigInt&& other) noexcept
+    : size_(other.size_),
+      capacity_(other.capacity_),
+      negative_(other.negative_) {
+  std::memcpy(inline_, other.inline_, sizeof(inline_));
+  other.size_ = 0;
+  other.capacity_ = kInlineLimbs;
+  other.negative_ = false;
+}
+
+inline BigInt& BigInt::operator=(const BigInt& other) {
+  if (this == &other) return *this;
+  if (on_heap() || other.on_heap()) {
+    AssignSlow(other);
+    return *this;
+  }
+  std::memcpy(inline_, other.inline_, sizeof(inline_));
+  size_ = other.size_;
+  negative_ = other.negative_;
+  return *this;
+}
+
+inline BigInt& BigInt::operator=(BigInt&& other) noexcept {
+  if (this == &other) return *this;
+  if (on_heap()) delete[] heap_;
+  std::memcpy(inline_, other.inline_, sizeof(inline_));
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  negative_ = other.negative_;
+  other.size_ = 0;
+  other.capacity_ = kInlineLimbs;
+  other.negative_ = false;
+  return *this;
+}
+
+inline BigInt::~BigInt() {
+  if (on_heap()) delete[] heap_;
+}
+
+// TranspositionTable::EntryBytes (repair/memo.cc) charges stored shares at
+// sizeof(MemoOutcome::RepairShare), which embeds two BigInts: a size
+// change here would move every memo byte budget and eviction decision.
+static_assert(sizeof(BigInt) == 32, "BigInt must stay 32 bytes");
 
 std::ostream& operator<<(std::ostream& os, const BigInt& value);
 

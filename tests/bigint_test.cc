@@ -316,6 +316,165 @@ TEST(BigIntFastPathTest, InPlaceDivisionSigns) {
   EXPECT_FALSE(e.is_negative());  // no negative zero
 }
 
+TEST(BigIntTest, MantissaStaysBelowOneJustUnderPowersOfTwo) {
+  // Rounding the top 64 bits to a double carries 2^64 − 1 up to 2^64; the
+  // mantissa is renormalized to 0.5 with the exponent one higher.
+  BigInt max64(std::numeric_limits<uint64_t>::max());
+  const struct {
+    BigInt value;
+    int64_t exponent;
+  } kCases[] = {{max64, 65}, {max64 * max64, 129}, {-max64, 65}};
+  for (const auto& c : kCases) {
+    double m;
+    int64_t e;
+    c.value.ToMantissaExp(&m, &e);
+    EXPECT_EQ(std::fabs(m), 0.5) << c.value;
+    EXPECT_EQ(e, c.exponent) << c.value;
+    double expected = std::ldexp(c.value.is_negative() ? -1.0 : 1.0,
+                                 static_cast<int>(c.exponent) - 1);
+    EXPECT_EQ(c.value.ToDouble(), expected) << c.value;
+  }
+  // Values that do not round up keep their mantissa in (0.5, 1).
+  double m;
+  int64_t e;
+  BigInt(uint64_t{0xffffffffu}).ToMantissaExp(&m, &e);
+  EXPECT_GT(m, 0.5);
+  EXPECT_LT(m, 1.0);
+  EXPECT_EQ(e, 32);
+}
+
+// ---------------------------------------------------------------------
+// Storage: magnitudes of up to four limbs (|v| < 2^128) live inline, larger
+// ones on the heap. These cases cross that boundary in both directions and
+// exercise copies, moves and aliasing on either side of it.
+// ---------------------------------------------------------------------
+
+BigInt TwoPow(uint32_t n) { return BigInt(2).Pow(n); }
+
+TEST(BigIntStorageTest, CrossesTheInlineBoundaryBothWays) {
+  BigInt four_limbs = TwoPow(128) - BigInt(1);  // largest inline magnitude
+  EXPECT_EQ(four_limbs.BitLength(), 128u);
+  BigInt five_limbs = four_limbs + BigInt(1);  // 2^128: first heap value
+  EXPECT_EQ(five_limbs.ToString(), "340282366920938463463374607431768211456");
+  BigInt wide = four_limbs * BigInt(uint64_t{0x100000000u}) + BigInt(7);
+  EXPECT_EQ(wide.BitLength(), 160u);
+  // Back below the boundary through / and %, in both operator forms.
+  BigInt limb(uint64_t{0x100000000u});
+  EXPECT_EQ(wide / limb, four_limbs);
+  EXPECT_EQ(wide % limb, BigInt(7));
+  BigInt q = wide;
+  q /= limb;
+  EXPECT_EQ(q, four_limbs);
+  BigInt r = wide;
+  r %= limb;
+  EXPECT_EQ(r, BigInt(7));
+  // A heap-sized divisor with an inline-sized remainder.
+  BigInt big = TwoPow(200) + BigInt(12345);
+  BigInt dq, dr;
+  BigInt::DivMod(big, five_limbs, &dq, &dr);
+  EXPECT_EQ(dq, TwoPow(72));
+  EXPECT_EQ(dr, BigInt(12345));
+  // Subtraction shrinking a heap value to one limb, then growing again.
+  BigInt shrink = five_limbs;
+  shrink -= four_limbs;
+  EXPECT_EQ(shrink, BigInt(1));
+  shrink += four_limbs;
+  EXPECT_EQ(shrink, five_limbs);
+  EXPECT_EQ(-(five_limbs) + five_limbs, BigInt(0));
+  EXPECT_FALSE((-(five_limbs) + five_limbs).is_negative());
+}
+
+TEST(BigIntStorageTest, CopyMoveAndSelfAssignment) {
+  const BigInt originals[] = {BigInt(-42), TwoPow(127) + BigInt(3),
+                              -(TwoPow(300) + BigInt(5))};
+  for (const BigInt& original : originals) {
+    BigInt copy(original);
+    EXPECT_EQ(copy, original);
+    BigInt assigned(TwoPow(400));  // heap storage being overwritten
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    BigInt small(9);  // inline storage being overwritten
+    small = original;
+    EXPECT_EQ(small, original);
+    BigInt& self = copy;
+    copy = self;
+    EXPECT_EQ(copy, original);
+    copy = std::move(self);
+    EXPECT_EQ(copy, original);
+    BigInt moved(std::move(copy));
+    EXPECT_EQ(moved, original);
+    EXPECT_TRUE(copy.is_zero());  // NOLINT(bugprone-use-after-move)
+    BigInt target(TwoPow(500));
+    target = std::move(moved);
+    EXPECT_EQ(target, original);
+    EXPECT_TRUE(moved.is_zero());  // NOLINT(bugprone-use-after-move)
+    // A moved-from value is reusable.
+    moved = BigInt(5);
+    moved += original;
+    EXPECT_EQ(moved, original + BigInt(5));
+  }
+}
+
+TEST(BigIntStorageTest, CompoundAssignmentAliasing) {
+  BigInt max128 = TwoPow(128) - BigInt(1);
+  BigInt a = max128;
+  a *= a;  // 4 limbs × 4 limbs → 8 limbs
+  EXPECT_EQ(a, TwoPow(256) - TwoPow(129) + BigInt(1));
+  BigInt b = max128;
+  b += b;  // carries out of the inline limbs
+  EXPECT_EQ(b, TwoPow(129) - BigInt(2));
+  b -= b;
+  EXPECT_TRUE(b.is_zero());
+  EXPECT_FALSE(b.is_negative());
+  BigInt c = -a;
+  c += c;
+  EXPECT_EQ(c, -(a + a));
+  c *= c;
+  EXPECT_EQ(c, (a + a) * (a + a));
+  c /= c;
+  EXPECT_EQ(c, BigInt(1));
+  // Gcd of 128-bit operands (inline, native 128-bit remainders).
+  BigInt g1 = (TwoPow(64) + BigInt(13)) * BigInt(uint64_t{1000000007});
+  BigInt g2 = (TwoPow(64) + BigInt(13)) * BigInt(uint64_t{998244353});
+  EXPECT_EQ(BigInt::Gcd(g1, g2), TwoPow(64) + BigInt(13));
+  EXPECT_EQ(BigInt::Gcd(max128, max128), max128);
+  EXPECT_EQ(BigInt::Gcd(max128, TwoPow(127)), BigInt(1));
+  EXPECT_EQ(BigInt::Gcd(-max128, BigInt(3)), BigInt(3));
+}
+
+TEST(BigIntStorageTest, HashAndToStringAreStable) {
+  // Captured from the previous, vector-backed representation: the storage
+  // change must move neither Hash() nor ToString().
+  const struct {
+    const char* text;
+    size_t hash;
+  } kTable[] = {
+      {"0", 0ull},
+      {"1", 11400714819323198486ull},
+      {"-1", 14813675350809533518ull},
+      {"4294967295", 11400714823618165780ull},
+      {"4294967296", 14813675350809533518ull},
+      {"-4294967296", 18111443614409783974ull},
+      {"18446744073709551615", 14813675573074091021ull},
+      {"18446744073709551616", 18111443614409783974ull},
+      {"-18446744073709551616", 5217400152002330328ull},
+      {"79228162514264337593543950341", 5217400152005376663ull},
+      {"340282366920938463463374607431768211455", 5207255597159690096ull},
+      {"340282366920938463463374607431768211456", 9379597081598889173ull},
+      {"-340282366920938463463374607431768211457", 14675177605321640588ull},
+      {"10000000000000000000000000000000000000000", 18338305607311796057ull},
+      {"-123456789012345678901234567890123456789012345678901234567890",
+       16729817197256672840ull},
+  };
+  for (const auto& row : kTable) {
+    BigInt value = *BigInt::FromString(row.text);
+    EXPECT_EQ(value.ToString(), row.text);
+    EXPECT_EQ(value.Hash(), row.hash) << row.text;
+  }
+  BigInt max64(std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ((max64 * max64).Hash(), 5217396021320413176ull);
+}
+
 // Parameterized: arithmetic consistency against int64 for small operands.
 class BigIntSmallArithTest
     : public ::testing::TestWithParam<std::pair<int64_t, int64_t>> {};

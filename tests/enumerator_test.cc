@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "gen/workloads.h"
+#include "repair/repair_cache.h"
 #include "repair/repair_enumerator.h"
 
 namespace opcqa {
@@ -146,6 +150,74 @@ TEST(EnumeratorTest, StatisticsAreCoherent) {
   EXPECT_EQ(aggregated, result.successful_sequences);
   EXPECT_GT(result.states_visited, result.absorbing_states);
   EXPECT_GT(result.max_depth, 0u);
+}
+
+TEST(EnumeratorTest, EquiprobableRepairsComeOutInDatabaseOrder) {
+  // Uniform generator over independent two-fact key groups: every group
+  // is resolved by exactly one of its three deletions, each equally
+  // likely, so all 3^4 repairs tie at probability 1/81 and the output
+  // order is decided by the database-order tie break alone — never by
+  // aggregation order, thread count or memoization.
+  gen::Workload w = gen::MakeKeyViolationWorkload(6, 4, 2, /*seed=*/5);
+  UniformChainGenerator gen;
+  EnumerationResult reference = EnumerateRepairs(w.db, w.constraints, gen);
+  ASSERT_EQ(reference.repairs.size(), 81u);
+  for (const RepairInfo& info : reference.repairs) {
+    EXPECT_EQ(info.probability, Rational(1, 81));
+  }
+  auto by_database = [](const RepairInfo& a, const RepairInfo& b) {
+    return a.repair < b.repair;
+  };
+  EXPECT_TRUE(std::is_sorted(reference.repairs.begin(), reference.repairs.end(),
+                             by_database));
+  std::vector<uint32_t> identity(reference.repairs.size());
+  std::iota(identity.begin(), identity.end(), 0u);
+  EXPECT_EQ(reference.repairs_by_database, identity);
+
+  for (bool memoize : {false, true}) {
+    for (size_t threads : {1u, 4u}) {
+      RepairSpaceCache cache;
+      EnumerationOptions options;
+      options.memoize = memoize;
+      options.threads = threads;
+      options.cache = &cache;
+      EnumerationResult result =
+          EnumerateRepairs(w.db, w.constraints, gen, options);
+      ASSERT_EQ(result.repairs.size(), reference.repairs.size());
+      for (size_t i = 0; i < result.repairs.size(); ++i) {
+        EXPECT_EQ(result.repairs[i].repair, reference.repairs[i].repair)
+            << "memoize=" << memoize << " threads=" << threads << " i=" << i;
+        EXPECT_EQ(result.repairs[i].probability,
+                  reference.repairs[i].probability);
+        EXPECT_EQ(result.repairs[i].num_sequences,
+                  reference.repairs[i].num_sequences);
+      }
+      EXPECT_EQ(result.repairs_by_database, identity);
+      if (!memoize) continue;
+      // Every stored outcome lists its shares in value order of the
+      // repairs they reconstruct to (entry database minus share ids).
+      std::shared_ptr<TranspositionTable> table =
+          cache.TableFor(w.db, w.constraints, gen, true);
+      ASSERT_NE(table, nullptr);
+      size_t entries = 0;
+      table->ForEach([&](const std::vector<FactId>& removed,
+                         const ViolationSet&, const MemoOutcome& outcome) {
+        ++entries;
+        Database entry = w.db;
+        for (FactId id : removed) entry.EraseId(id);
+        std::vector<Database> repairs;
+        for (const MemoOutcome::RepairShare& share : outcome.repairs) {
+          Database repair = entry;
+          for (FactId id : share.removed) repair.EraseId(id);
+          repairs.push_back(std::move(repair));
+        }
+        for (size_t i = 1; i < repairs.size(); ++i) {
+          EXPECT_TRUE(repairs[i - 1] < repairs[i]) << "share " << i;
+        }
+      });
+      EXPECT_GT(entries, 0u) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -243,5 +243,49 @@ TEST(RationalFastPathTest, CompoundAssignmentMatchesRebuild) {
   EXPECT_EQ(acc, check / Rational(9, 4));
 }
 
+TEST(RationalStorageTest, ToDoubleUnchangedAtRenormalizedMantissas) {
+  // Operands just under a power of two renormalize their BigInt mantissa
+  // (1.0 → 0.5, exponent + 1); the quotient's double must not move. The
+  // expected bits were captured before that renormalization existed.
+  BigInt max64(std::numeric_limits<uint64_t>::max());
+  BigInt two128 = BigInt(2).Pow(128);
+  EXPECT_EQ(Rational(max64, BigInt(3)).ToDouble(), 0x1.5555555555555p+62);
+  EXPECT_EQ(Rational(BigInt(3), max64).ToDouble(), 0x1.8p-63);
+  EXPECT_EQ(Rational(max64 * max64, max64 + BigInt(2)).ToDouble(), 0x1p+64);
+  EXPECT_EQ(Rational(BigInt(1), max64 * max64).ToDouble(), 0x1p-128);
+  EXPECT_EQ(Rational(-(max64 * max64), BigInt(7)).ToDouble(),
+            -0x1.2492492492492p+125);
+  EXPECT_EQ(Rational(two128 - BigInt(1), two128 + BigInt(1)).ToDouble(),
+            1.0);
+  EXPECT_EQ(Rational(max64, max64 + BigInt(2)).ToDouble(), 1.0);
+}
+
+TEST(RationalStorageTest, ReductionCrossesTheInlineLimbBoundary) {
+  // Numerator and denominator grow past four limbs (2^128) and reduce back
+  // into inline storage; the canonical form must match direct arithmetic.
+  // Π (2n−1)/(2n) = C(2N, N) / 4^N: the reduced denominator is a power of
+  // two past 2^128 by N = 80; multiplying the factors back out (in reverse
+  // order) returns to 1 through the same boundary.
+  Rational product(1);
+  for (int64_t n = 1; n <= 80; ++n) product *= Rational(2 * n - 1, 2 * n);
+  EXPECT_GT(product.denominator().BitLength(), 128u);
+  for (int64_t n = 80; n >= 1; --n) product *= Rational(2 * n, 2 * n - 1);
+  EXPECT_EQ(product, Rational(1));
+  EXPECT_EQ(product.ToString(), "1");
+  Rational sum;
+  for (int64_t n = 1; n <= 30; ++n) {
+    sum += Rational(BigInt(1), BigInt(3).Pow(static_cast<uint32_t>(n)));
+  }
+  // Σ 3^-n for n = 1..30 = (1 − 3^-30) / 2.
+  Rational tail(BigInt(1), BigInt(3).Pow(30));
+  EXPECT_EQ(sum, (Rational(1) - tail) / Rational(2));
+  Rational wide(BigInt(2).Pow(200) + BigInt(1), BigInt(3).Pow(90));
+  Rational copy = wide;
+  copy -= wide;
+  EXPECT_TRUE(copy.is_zero());
+  EXPECT_EQ(copy.denominator(), BigInt(1));
+  EXPECT_EQ((wide / wide).ToString(), "1");
+}
+
 }  // namespace
 }  // namespace opcqa
