@@ -29,13 +29,11 @@
 //             [--memo-disk-bytes=N]  (byte budget for --memo-dir — base
 //             snapshots plus delta logs, whole roots deleted oldest
 //             first; 0 = unbounded)
-//             [--memo-delta=0|1]  (default 1: once a root's base
-//             snapshot exists, spills append only the newly admitted
-//             entries to its delta log; 0 rewrites the whole base every
-//             spill — the PR-5 behavior)
-//             [--memo-compact-ratio=X]  (compact a delta log into a
-//             fresh base once it exceeds X times the base size;
-//             default 0.5, <= 0 compacts on every spill)
+//             [--memo-compact-ratio=X]  (once a root's base snapshot
+//             exists, spills append only the newly admitted entries to
+//             its delta log, compacted into a fresh base once it exceeds
+//             X times the base size; default 0.5, <= 0 rewrites the base
+//             on every spill)
 //             [--memo-memory-bytes=N]  (memory-tier byte budget across
 //             all cache roots: overflow demotes the lowest-retention
 //             root to the disk tier early; 0 = off)
@@ -84,6 +82,10 @@
 //   constraints:  one per line, e.g. "key: R(x,y), R(x,z) -> y = z"
 //
 // SQL-mode tables expose columns c0, c1, ... per relation position.
+//
+// Numeric flag values must be plain decimal (unsigned integers: digits
+// only; no sign, no trailing text); --threads and --serve-workers are
+// capped at kMaxThreads (1024).
 //
 // Exit codes: 0 = answered (including degraded runs, which warn on
 // stderr), 1 = hard failure, 2 = usage error. `--help` prints the full
@@ -134,7 +136,6 @@ struct Options {
   size_t memo_bytes = 0;      // byte budget (0 = entries-only budget)
   std::string memo_dir;       // disk tier directory (empty = memory only)
   size_t memo_disk_bytes = 0;  // disk budget for --memo-dir (0 = unbounded)
-  bool memo_delta = true;      // delta spills (0 = always rewrite the base)
   double memo_compact_ratio = 0.5;  // log/base compaction threshold
   size_t memo_memory_bytes = 0;  // cross-root memory budget (0 = off)
   std::string plan;  // exact mode: planner dispatch (empty = flag unset,
@@ -149,6 +150,27 @@ struct Options {
   std::string trace_out;   // Chrome trace JSON path (tracing builds)
   double slow_ms = -1;     // slow-query span-tree threshold (< 0 = off)
 };
+
+/// Parses a whole flag value as a double; false on empty input or
+/// trailing characters.
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size();
+}
+
+/// Parses a whole value as a decimal unsigned integer: digits only (no
+/// sign, whitespace or base prefix) and in range for T; false otherwise.
+template <typename T>
+bool ParseUnsigned(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && error == std::errc() && stop == end;
+}
+
+/// Upper bound for --threads and --serve-workers, so a typo cannot ask
+/// for a billion threads.
+constexpr size_t kMaxThreads = 1024;
 
 /// Parses "R:0;S:0,1" into SQL table keys against `schema`: one entry
 /// per relation, positions are decimal integers below its arity.
@@ -176,11 +198,8 @@ Result<std::vector<sql::TableKey>> ParseKeysSpec(const Schema& schema,
     }
     for (const std::string& pos_text :
          Split(entry.substr(colon + 1), ',')) {
-      std::string digits = Trim(pos_text);
-      const char* end = digits.data() + digits.size();
       size_t position = 0;
-      auto [stop, error] = std::from_chars(digits.data(), end, position);
-      if (digits.empty() || error != std::errc() || stop != end) {
+      if (!ParseUnsigned(Trim(pos_text), &position)) {
         return Status::InvalidArgument(
             "key position is not a non-negative integer: '" + pos_text +
             "'");
@@ -211,14 +230,6 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
-/// Parses a whole flag value as a double; false on empty input or
-/// trailing characters.
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return !text.empty() && end == text.c_str() + text.size();
-}
-
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open file: " + path);
@@ -244,14 +255,14 @@ Result<Schema> ParseSchemaFile(const std::string& text) {
     if (!IsIdentifier(name)) {
       return Status::InvalidArgument("bad relation name: " + name);
     }
-    int arity = std::atoi(arity_text.c_str());
-    if (arity <= 0) {
+    uint32_t arity = 0;
+    if (!ParseUnsigned(arity_text, &arity) || arity == 0) {
       return Status::InvalidArgument("bad arity in schema line: " + line);
     }
     if (schema.FindRelation(name) != Schema::kNotFound) {
       return Status::AlreadyExists("relation declared twice: " + name);
     }
-    schema.AddRelation(name, static_cast<uint32_t>(arity));
+    schema.AddRelation(name, arity);
   }
   if (schema.size() == 0) {
     return Status::InvalidArgument("schema file declares no relations");
@@ -267,7 +278,8 @@ Result<Schema> ParseSchemaFile(const std::string& text) {
 //   1  hard failure — missing/unparseable input files, unwritable
 //      --serve-out, a chain too large for --mode=exact;
 //   2  usage — unknown flags or bad flag *values* (generator, mode,
-//      plan, keys, eps/delta), missing required flags.
+//      plan, keys, any numeric flag that does not parse whole, thread
+//      counts above kMaxThreads), missing required flags.
 
 // The complete flag reference, printed by --help (exit 0). One line per
 // flag: "  --name=VALUE  (default/required)  what it does". docs/KNOBS.md
@@ -309,7 +321,7 @@ void PrintHelp() {
       "probability\n"
       "  --seed=N             (default: 42) sampling seed\n"
       "  --threads=N          (default: 1) enumeration threads; 0 = all "
-      "cores\n"
+      "cores; at most 1024\n"
       "  --plan=NAME          (default: unset) auto | walk | rewrite — "
       "planner dispatch\n"
       "\n"
@@ -324,11 +336,9 @@ void PrintHelp() {
       "implies --memo-persist\n"
       "  --memo-disk-bytes=N  (default: 0) byte budget for --memo-dir "
       "(bases + delta logs); 0 = unbounded\n"
-      "  --memo-delta=0|1     (default: 1) append-only delta spills once "
-      "a base snapshot exists; 0 = always rewrite the base\n"
       "  --memo-compact-ratio=X  (default: 0.5) compact the delta log "
       "into a fresh base once it exceeds this fraction of the base; <= 0 "
-      "compacts every spill\n"
+      "rewrites the base every spill\n"
       "  --memo-memory-bytes=N   (default: 0) memory-tier byte budget "
       "across all cache roots; overflow demotes the lowest-retention "
       "root to disk; 0 = off\n"
@@ -337,7 +347,7 @@ void PrintHelp() {
       "  --serve-trace=FILE   replay a request log through OcqaServer "
       "(format: server/trace.h)\n"
       "  --serve-workers=N    (default: 0) server worker threads; 0 = "
-      "all cores\n"
+      "all cores; at most 1024\n"
       "  --serve-out=PATH     (default: stdout) write canonical "
       "responses to PATH\n"
       "  --serve-baseline     (default: off) serial per-tenant replay "
@@ -359,6 +369,8 @@ void PrintHelp() {
       "tree\n"
       "  --help               print this reference and exit 0\n"
       "\n"
+      "numeric values are plain decimal; unsigned flags take digits "
+      "only (no sign)\n"
       "exit codes: 0 = answered (degraded runs warn on stderr), 1 = hard "
       "failure, 2 = usage error\n");
 }
@@ -371,6 +383,11 @@ int Fail(const Status& status) {
 int UsageFail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 2;
+}
+
+int BadFlagValue(const std::string& flag, const std::string& value) {
+  return UsageFail(
+      Status::InvalidArgument("bad --" + flag + " value: " + value));
 }
 
 /// End-of-run observability artifacts: the Chrome trace (--trace-out),
@@ -428,25 +445,23 @@ int main(int argc, char** argv) {
     if (ParseFlag(arg, "generator", &opt.generator)) continue;
     if (ParseFlag(arg, "mode", &opt.mode)) continue;
     if (ParseFlag(arg, "eps", &value)) {
-      if (!ParseDouble(value, &opt.eps)) {
-        return UsageFail(Status::InvalidArgument("bad --eps value: " + value));
-      }
+      if (!ParseDouble(value, &opt.eps)) return BadFlagValue("eps", value);
       continue;
     }
     if (ParseFlag(arg, "delta", &value)) {
       if (!ParseDouble(value, &opt.delta)) {
-        return UsageFail(
-            Status::InvalidArgument("bad --delta value: " + value));
+        return BadFlagValue("delta", value);
       }
       continue;
     }
     if (ParseFlag(arg, "seed", &value)) {
-      opt.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseUnsigned(value, &opt.seed)) return BadFlagValue("seed", value);
       continue;
     }
     if (ParseFlag(arg, "threads", &value)) {
-      opt.threads = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUnsigned(value, &opt.threads) || opt.threads > kMaxThreads) {
+        return BadFlagValue("threads", value);
+      }
       continue;
     }
     if (arg == "--memo") {
@@ -459,8 +474,9 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseFlag(arg, "memo-bytes", &value)) {
-      opt.memo_bytes = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUnsigned(value, &opt.memo_bytes)) {
+        return BadFlagValue("memo-bytes", value);
+      }
       continue;
     }
     if (ParseFlag(arg, "memo-dir", &value)) {
@@ -470,28 +486,30 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseFlag(arg, "memo-disk-bytes", &value)) {
-      opt.memo_disk_bytes = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (ParseFlag(arg, "memo-delta", &value)) {
-      opt.memo_delta = value != "0";
+      if (!ParseUnsigned(value, &opt.memo_disk_bytes)) {
+        return BadFlagValue("memo-disk-bytes", value);
+      }
       continue;
     }
     if (ParseFlag(arg, "memo-compact-ratio", &value)) {
-      opt.memo_compact_ratio = std::atof(value.c_str());
+      if (!ParseDouble(value, &opt.memo_compact_ratio)) {
+        return BadFlagValue("memo-compact-ratio", value);
+      }
       continue;
     }
     if (ParseFlag(arg, "memo-memory-bytes", &value)) {
-      opt.memo_memory_bytes = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUnsigned(value, &opt.memo_memory_bytes)) {
+        return BadFlagValue("memo-memory-bytes", value);
+      }
       continue;
     }
     if (ParseFlag(arg, "plan", &opt.plan)) continue;
     if (ParseFlag(arg, "serve-trace", &opt.serve_trace)) continue;
     if (ParseFlag(arg, "serve-workers", &value)) {
-      opt.serve_workers = static_cast<size_t>(
-          std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUnsigned(value, &opt.serve_workers) ||
+          opt.serve_workers > kMaxThreads) {
+        return BadFlagValue("serve-workers", value);
+      }
       continue;
     }
     if (ParseFlag(arg, "serve-out", &opt.serve_out)) continue;
@@ -513,7 +531,9 @@ int main(int argc, char** argv) {
     }
     if (ParseFlag(arg, "trace-out", &opt.trace_out)) continue;
     if (ParseFlag(arg, "slow-ms", &value)) {
-      opt.slow_ms = std::atof(value.c_str());
+      if (!ParseDouble(value, &opt.slow_ms)) {
+        return BadFlagValue("slow-ms", value);
+      }
       continue;
     }
     std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
@@ -542,7 +562,7 @@ int main(int argc, char** argv) {
                  "[--generator=uniform|deletions|minchange] "
                  "[--mode=exact|approx] [--eps --delta --seed --threads "
                  "--memo --memo-persist --memo-bytes=N --memo-dir=PATH "
-                 "--memo-disk-bytes=N --memo-delta=0|1 "
+                 "--memo-disk-bytes=N "
                  "--memo-compact-ratio=X --memo-memory-bytes=N "
                  "--plan=auto|walk|rewrite] "
                  "[--show-repairs] [--show-chain]\n"
@@ -646,7 +666,6 @@ int main(int argc, char** argv) {
       server_options.cache.max_bytes_per_root = opt.memo_bytes;
       server_options.cache.snapshot_dir = opt.memo_dir;
       server_options.cache.max_disk_bytes = opt.memo_disk_bytes;
-      server_options.cache.delta_spill = opt.memo_delta;
       server_options.cache.log_compaction_ratio = opt.memo_compact_ratio;
       server_options.cache.max_memory_bytes = opt.memo_memory_bytes;
       if (!opt.plan.empty()) {
@@ -750,7 +769,6 @@ int main(int argc, char** argv) {
     cache_options.max_bytes_per_root = opt.memo_bytes;
     cache_options.snapshot_dir = opt.memo_dir;
     cache_options.max_disk_bytes = opt.memo_disk_bytes;
-    cache_options.delta_spill = opt.memo_delta;
     cache_options.log_compaction_ratio = opt.memo_compact_ratio;
     cache_options.max_memory_bytes = opt.memo_memory_bytes;
     RepairSpaceCache cache(cache_options);

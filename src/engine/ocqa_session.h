@@ -44,10 +44,9 @@ struct SessionOptions {
   /// repair spaces (individual calls can still override).
   EnumerationOptions enumeration;
   /// Budgets of the owned RepairSpaceCache (unused with shared_cache).
+  /// Every query runs through that cache, so later queries over the same
+  /// root replay earlier walks.
   RepairCacheOptions cache;
-  /// Master switch for cross-query persistence; off = every query gets a
-  /// per-call scratch table (the PR-3 behaviour).
-  bool persist = true;
   /// Backend dispatch for CertainAnswers(): kAuto classifies each query
   /// (planner/planner.h) and uses the FO rewriting where it provably
   /// matches the walk; kWalk forces the chain walk; kRewrite errors on

@@ -129,29 +129,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_
-             .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter(&enabled_)))
-             .first;
-  }
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge()))
-             .first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = histograms_.find(name);
@@ -167,12 +144,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
-  for (const auto& [name, counter] : counters_) {
-    snapshot.counters[name] = counter->Total();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges[name] = gauge->Value();
-  }
   for (const auto& [name, histogram] : histograms_) {
     snapshot.histograms[name] = histogram->Snapshot();
   }

@@ -1,14 +1,14 @@
-// Unified metrics: one process-global registry of named counters, gauges
-// and log-bucketed latency histograms, always compiled in (unlike the
-// tracer, obs/trace.h) and cheap enough to leave on in serving builds —
-// the CI bench-smoke job gates BM_ServingThroughput with the registry
-// live at <= 3% over the pre-registry baseline (pr10_obs_overhead_ms).
+// Unified metrics: one process-global registry of named log-bucketed
+// latency histograms, always compiled in (unlike the tracer,
+// obs/trace.h) and cheap enough to leave on in serving builds — the CI
+// bench-smoke job gates BM_ServingThroughput with the registry live at
+// <= 3% over the pre-registry baseline (pr10_obs_overhead_ms).
 //
 // ## Hot path
 //
-// Every mutation is one relaxed atomic RMW on a per-thread shard:
+// Every record is one relaxed atomic RMW on a per-thread shard:
 // threads hash to one of kMetricShards cache-line-sized slots, so eight
-// workers bumping the same counter touch eight different lines.
+// workers timing the same histogram touch eight different lines.
 // Snapshot() merges the shards; totals are exact once the writing
 // threads are quiescent (and a monotone under-approximation while they
 // are not — fetch_add never loses an increment). A registry-wide kill
@@ -24,13 +24,13 @@
 // the true sample — tests/obs_test.cc asserts this against a
 // sorted-vector oracle.
 //
-// ## Absorbing the legacy stats structs
+// ## Counts live in the stats structs
 //
-// MemoStats, DiskTierStats, PlannerStats and ServerStats remain the
-// source-compatible per-subsystem views; obs/stats_export.h folds them
-// into a MetricsSnapshot so the CLI prints ONE merged RenderText()
-// surface (the serve-mode summary) instead of per-subsystem counter
-// lines. The metric name catalog lives in docs/OBSERVABILITY.md.
+// MemoStats, DiskTierStats, PlannerStats and ServerStats are the only
+// counters; obs/stats_export.h folds them into the counters and gauges
+// of a MetricsSnapshot next to the registry's histograms, so the CLI
+// prints ONE merged RenderText() surface (the serve-mode summary). The
+// metric name catalog lives in docs/OBSERVABILITY.md.
 
 #ifndef OPCQA_OBS_METRICS_H_
 #define OPCQA_OBS_METRICS_H_
@@ -75,9 +75,9 @@ struct HistogramSnapshot {
   double p99_ms = 0.0;
 };
 
-/// Point-in-time merged view of every registered metric (plus whatever
-/// the stats_export.h converters folded in). Maps, so RenderText() is
-/// sorted and stable across runs.
+/// Point-in-time merged view of every registered histogram, plus the
+/// counters and gauges the stats_export.h converters folded in. Maps, so
+/// RenderText() is sorted and stable across runs.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t, std::less<>> counters;
   std::map<std::string, int64_t, std::less<>> gauges;
@@ -87,50 +87,6 @@ struct MetricsSnapshot {
   /// kind ("counter <name> <value>", "gauge ...", "hist <name>
   /// count=... sum=...ms p50=... p95=... p99=... max=...").
   std::string RenderText() const;
-};
-
-/// Monotone counter, sharded per thread. Handles are created by (and
-/// owned by) MetricsRegistry; they live for the process.
-class Counter {
- public:
-  void Add(uint64_t n = 1) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    shards_[internal::ThreadShard()].value.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-
-  uint64_t Total() const {
-    uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> value{0};
-  };
-  Shard shards_[kMetricShards];
-  const std::atomic<bool>* enabled_;
-};
-
-/// Last-write-wins instantaneous value (single slot: gauges are set at
-/// reporting points, not on hot paths).
-class Gauge {
- public:
-  void Set(int64_t value) {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  Gauge() = default;
-  std::atomic<int64_t> value_{0};
 };
 
 /// Log-bucketed latency histogram (nanosecond resolution, millisecond
@@ -211,8 +167,6 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
   /// Kill switch for the overhead bench's A/B arms — product code never
@@ -224,15 +178,13 @@ class MetricsRegistry {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Merged view of every registered metric.
+  /// Merged view of every registered histogram.
   MetricsSnapshot Snapshot() const;
 
  private:
   MetricsRegistry() = default;
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::atomic<bool> enabled_{true};
 };

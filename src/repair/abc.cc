@@ -10,6 +10,16 @@
 
 namespace opcqa {
 
+namespace {
+
+/// Upper bound on enumerated repairs / hitting-set branches.
+constexpr size_t kMaxCandidates = 200000;
+/// The brute-force engine refuses bases with more facts than this (2^n
+/// subsets are enumerated).
+constexpr size_t kMaxBaseFacts = 22;
+
+}  // namespace
+
 std::vector<std::vector<Fact>> ConflictHypergraph(
     const Database& db, const ConstraintSet& constraints) {
   std::set<std::vector<Fact>> edges;
@@ -90,14 +100,13 @@ class HittingSetEnumerator {
 
 }  // namespace
 
-Result<std::vector<Database>> AbcSubsetRepairs(const Database& db,
-                                               const ConstraintSet& constraints,
-                                               const AbcOptions& options) {
+Result<std::vector<Database>> AbcSubsetRepairs(
+    const Database& db, const ConstraintSet& constraints) {
   OPCQA_CHECK(IsDenialOnly(constraints))
       << "AbcSubsetRepairs requires EGD/DC-only constraint sets";
   std::vector<std::vector<Fact>> edges = ConflictHypergraph(db, constraints);
   if (edges.empty()) return std::vector<Database>{db};
-  HittingSetEnumerator enumerator(edges, options.max_candidates);
+  HittingSetEnumerator enumerator(edges, kMaxCandidates);
   Result<std::vector<std::set<Fact>>> hitting_sets = enumerator.Run();
   if (!hitting_sets.ok()) return hitting_sets.status();
   std::vector<Database> repairs;
@@ -112,8 +121,7 @@ Result<std::vector<Database>> AbcSubsetRepairs(const Database& db,
 }
 
 Result<std::vector<Database>> AbcRepairsBruteForce(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options) {
+    const Database& db, const ConstraintSet& constraints) {
   BaseSpec base = BaseSpec::ForDatabase(db, ConstantsOf(constraints));
   std::vector<Fact> base_facts;
   bool complete = base.Enumerate(
@@ -121,11 +129,11 @@ Result<std::vector<Database>> AbcRepairsBruteForce(
         base_facts.push_back(f);
         return true;
       },
-      size_t{1} << options.max_base_facts);
-  if (!complete || base_facts.size() > options.max_base_facts) {
+      size_t{1} << kMaxBaseFacts);
+  if (!complete || base_facts.size() > kMaxBaseFacts) {
     return Status::ResourceExhausted(
         StrCat("base has ", base_facts.size(), "+ facts; brute force is "
-               "capped at ", options.max_base_facts));
+               "capped at ", kMaxBaseFacts));
   }
   size_t n = base_facts.size();
   // Collect consistent candidates with their symmetric differences.
@@ -141,7 +149,7 @@ Result<std::vector<Database>> AbcRepairsBruteForce(
     std::set<Fact> delta(only_d.begin(), only_d.end());
     delta.insert(only_c.begin(), only_c.end());
     consistent.emplace_back(std::move(delta), std::move(candidate));
-    if (consistent.size() > options.max_candidates) {
+    if (consistent.size() > kMaxCandidates) {
       return Status::ResourceExhausted(
           "too many consistent candidates in brute-force ABC");
     }
@@ -169,7 +177,7 @@ Result<std::vector<Database>> AbcRepairsViaChain(
     const AbcOptions& options) {
   UniformChainGenerator uniform;
   EnumerationOptions enum_options;
-  enum_options.max_states = options.max_candidates;
+  enum_options.max_states = kMaxCandidates;
   enum_options.threads = options.threads;
   enum_options.memoize = options.memoize;
   enum_options.cache = options.cache;
@@ -209,11 +217,11 @@ Result<std::vector<Database>> AbcRepairs(const Database& db,
                                          const ConstraintSet& constraints,
                                          const AbcOptions& options) {
   if (IsDenialOnly(constraints)) {
-    return AbcSubsetRepairs(db, constraints, options);
+    return AbcSubsetRepairs(db, constraints);
   }
   BaseSpec base = BaseSpec::ForDatabase(db, ConstantsOf(constraints));
-  if (base.Size() <= BigInt(static_cast<uint64_t>(options.max_base_facts))) {
-    return AbcRepairsBruteForce(db, constraints, options);
+  if (base.Size() <= BigInt(static_cast<uint64_t>(kMaxBaseFacts))) {
+    return AbcRepairsBruteForce(db, constraints);
   }
   return AbcRepairsViaChain(db, constraints, options);
 }

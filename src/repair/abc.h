@@ -29,11 +29,6 @@ namespace opcqa {
 class RepairSpaceCache;
 
 struct AbcOptions {
-  /// Upper bound on enumerated repairs / hitting-set branches.
-  size_t max_candidates = 200000;
-  /// Brute-force engine refuses bases with more facts than this (2^n
-  /// subsets are enumerated).
-  size_t max_base_facts = 22;
   /// Worker threads for the via-chain engine's uniform-chain walks
   /// (forwarded to EnumerationOptions::threads); 0 = DefaultThreads().
   size_t threads = 1;
@@ -53,13 +48,11 @@ std::vector<std::vector<Fact>> ConflictHypergraph(
 
 /// ABC repairs for denial-only Σ (CHECK-fails if Σ contains a TGD).
 Result<std::vector<Database>> AbcSubsetRepairs(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options = {});
+    const Database& db, const ConstraintSet& constraints);
 
 /// ABC repairs for arbitrary Σ by brute force over P(B(D,Σ)).
 Result<std::vector<Database>> AbcRepairsBruteForce(
-    const Database& db, const ConstraintSet& constraints,
-    const AbcOptions& options = {});
+    const Database& db, const ConstraintSet& constraints);
 
 /// ABC repairs computed as the ⊆-minimal-∆ leaves of the uniform repairing
 /// chain. Correctness rests on Proposition 4 (every ABC repair is a

@@ -57,11 +57,11 @@ StateKey KeyOf(const RepairingState& state) {
 }
 
 bool MemoizationApplicable(const RepairContext& context,
-                           const ChainGenerator& generator,
-                           bool prune_zero_probability) {
+                           const ChainGenerator& generator) {
   if (!generator.history_independent()) return false;
-  if (context.denial_only) return true;  // every justified op is a deletion
-  return generator.supports_only_deletions() && prune_zero_probability;
+  // Every justified op is a deletion, or the generator gives additions
+  // probability zero and the walk never takes a zero-probability edge.
+  return context.denial_only || generator.supports_only_deletions();
 }
 
 Database ReconstructRepair(const RepairingState& state,

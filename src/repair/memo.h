@@ -118,11 +118,10 @@ StateKey KeyOf(const RepairingState& state);
 /// True when memoizing subtrees keyed on StateKey is sound for this
 /// combination (see the file comment): the generator must be history
 /// independent, and the chain must be deletion-only — guaranteed by a
-/// denial-only Σ, or by a deletions-only generator together with
-/// zero-probability pruning (which keeps addition edges out of the tree).
+/// denial-only Σ, or by a deletions-only generator (its addition edges
+/// have probability zero, so they are not edges of the chain).
 bool MemoizationApplicable(const RepairContext& context,
-                           const ChainGenerator& generator,
-                           bool prune_zero_probability);
+                           const ChainGenerator& generator);
 
 /// The complete subtree outcome below a state, conditioned on entering the
 /// state with path mass 1 (multiply by the actual entering mass to

@@ -16,8 +16,10 @@ namespace opcqa {
 
 namespace {
 
-size_t StringHash(const std::string& text) {
-  return std::hash<std::string>{}(text);
+size_t RootFingerprint(const Database& db, const std::string& digest,
+                       const std::string& identity) {
+  size_t hash = HashCombine(db.Hash(), std::hash<std::string>{}(digest));
+  return HashCombine(hash, std::hash<std::string>{}(identity));
 }
 
 }  // namespace
@@ -72,13 +74,13 @@ RepairSpaceCache::~RepairSpaceCache() {
   // Session close spills the live roots (the third spill trigger besides
   // LRU eviction and explicit Persist), then waits so no background task
   // outlives the store it writes through.
-  if (store_ != nullptr && options_.spill_on_evict) Persist();
+  if (store_ != nullptr) Persist();
   DrainSpills();
 }
 
 std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     const Database& db, const ConstraintSet& constraints,
-    const ChainGenerator& generator, bool prune_zero_probability) {
+    const ChainGenerator& generator) {
   OPCQA_TRACE_SPAN("cache.probe");
   static obs::Histogram* const probe_latency =
       obs::MetricsRegistry::Global().GetHistogram("cache.probe_ms");
@@ -86,19 +88,11 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   std::string identity = generator.cache_identity();
   if (identity.empty()) return nullptr;  // generator opted out of sharing
   std::string digest = storage::RenderConstraints(db.schema(), constraints);
-  size_t fingerprint = HashCombine(
-      HashCombine(HashCombine(db.Hash(), StringHash(digest)),
-                  StringHash(identity)),
-      prune_zero_probability ? 1u : 0u);
+  size_t fingerprint = RootFingerprint(db, digest, identity);
 
   auto find_live = [&]() -> std::shared_ptr<TranspositionTable> {
     for (Root& root : roots_) {
-      if (root.fingerprint != fingerprint) continue;
-      // Fingerprint match is only a candidate: verify every component so
-      // hash collisions split into separate roots instead of aliasing.
-      if (root.db == db && root.constraints_digest == digest &&
-          root.generator_identity == identity &&
-          root.prune == prune_zero_probability) {
+      if (root.Matches(fingerprint, db, digest, identity)) {
         root.last_used = ++tick_;
         return root.table;
       }
@@ -117,13 +111,12 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
   // its verification are self-contained and may be slow).
   RestoredDisk restored;
   if (store_ != nullptr) {
-    restored = RestoreFromDisk(db, constraints, digest, identity,
-                               prune_zero_probability);
+    restored = RestoreFromDisk(db, constraints, digest, identity);
   }
   std::shared_ptr<TranspositionTable> table = restored.table;
   if (table == nullptr) {
     table = std::make_shared<TranspositionTable>(
-        options_.max_entries_per_root, options_.max_bytes_per_root);
+        TranspositionTable::kDefaultMaxEntries, options_.max_bytes_per_root);
     table->SetRootShape(db.size(), db.schema().size());
     // Only persistent tables filter admissions: single-visit subtrees go
     // through a probational set instead of churning the eviction sweep
@@ -152,7 +145,6 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     root.db = db;
     root.constraints_digest = std::move(digest);
     root.generator_identity = std::move(identity);
-    root.prune = prune_zero_probability;
     root.last_used = ++tick_;
     root.table = table;
     if (restored.table != nullptr) {
@@ -172,14 +164,10 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     // never see mutex_ held.
     CollectDemotionsLocked(&victims);
   }
-  for (Root& victim : victims) {
-    if (store_ != nullptr) {
-      bool clean = victim.base_on_disk && !victim.force_compaction &&
-                   victim.table->sequence() <= victim.spilled_through_seq;
-      if (options_.spill_on_evict || clean) {
-        demotions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (options_.spill_on_evict) SpillAsync(std::move(victim));
+  if (store_ != nullptr) {
+    for (Root& victim : victims) {
+      demotions_.fetch_add(1, std::memory_order_relaxed);
+      SpillAsync(std::move(victim));
     }
   }
   return table;
@@ -240,7 +228,7 @@ void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
 
 RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
     const Database& db, const ConstraintSet& constraints,
-    const std::string& digest, const std::string& identity, bool prune) {
+    const std::string& digest, const std::string& identity) {
   OPCQA_TRACE_SPAN("cache.restore");
   static obs::Histogram* const restore_latency =
       obs::MetricsRegistry::Global().GetHistogram("cache.restore_ms");
@@ -251,7 +239,6 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
   expected.db_text = db.ToString();
   expected.constraints_digest = digest;
   expected.generator_identity = identity;
-  expected.prune = prune;
   uint64_t fingerprint = storage::StableFingerprint(expected);
   Result<std::string> bytes = [&]() -> Result<std::string> {
     OPCQA_FAILPOINT("repair_cache.restore");
@@ -268,7 +255,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
   }
   Result<std::shared_ptr<TranspositionTable>> decoded =
       storage::DecodeSnapshot(*bytes, expected, db, constraints,
-                              options_.max_entries_per_root,
+                              TranspositionTable::kDefaultMaxEntries,
                               options_.max_bytes_per_root);
   if (!decoded.ok()) {
     rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
@@ -310,25 +297,15 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
 
 bool RepairSpaceCache::HasRoot(const Database& db,
                                const ConstraintSet& constraints,
-                               const ChainGenerator& generator,
-                               bool prune_zero_probability) const {
+                               const ChainGenerator& generator) const {
   std::string identity = generator.cache_identity();
   if (identity.empty()) return false;
   std::string digest = storage::RenderConstraints(db.schema(), constraints);
-  size_t fingerprint = HashCombine(
-      HashCombine(HashCombine(db.Hash(), StringHash(digest)),
-                  StringHash(identity)),
-      prune_zero_probability ? 1u : 0u);
+  size_t fingerprint = RootFingerprint(db, digest, identity);
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const Root& root : roots_) {
-    if (root.fingerprint != fingerprint) continue;
-    if (root.db == db && root.constraints_digest == digest &&
-        root.generator_identity == identity &&
-        root.prune == prune_zero_probability) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(roots_.begin(), roots_.end(), [&](const Root& root) {
+    return root.Matches(fingerprint, db, digest, identity);
+  });
 }
 
 void RepairSpaceCache::SpillAsync(Root root) {
@@ -340,7 +317,6 @@ void RepairSpaceCache::SpillAsync(Root root) {
   Database db = std::move(root.db);
   std::string digest = std::move(root.constraints_digest);
   std::string identity = std::move(root.generator_identity);
-  bool prune = root.prune;
   std::shared_ptr<TranspositionTable> table = std::move(root.table);
   bool base_on_disk = root.base_on_disk;
   uint64_t spilled_through = root.spilled_through_seq;
@@ -348,7 +324,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
   size_t log_bytes = root.log_bytes;
   bool force_compaction = root.force_compaction;
   auto task = [this, db = std::move(db), digest = std::move(digest),
-               identity = std::move(identity), prune,
+               identity = std::move(identity),
                table = std::move(table), base_on_disk, spilled_through,
                base_bytes, log_bytes, force_compaction]() {
     bool skip = base_on_disk && !force_compaction &&
@@ -382,7 +358,6 @@ void RepairSpaceCache::SpillAsync(Root root) {
       ident.db_text = db.ToString();
       ident.constraints_digest = digest;
       ident.generator_identity = identity;
-      ident.prune = prune;
       uint64_t fingerprint = storage::StableFingerprint(ident);
       // The spill covers every entry stamped up to here; later inserts
       // re-dirty the root (conservative if inserts land mid-encode: the
@@ -406,7 +381,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
       // else rewrites the base (and drops the log) — the unified
       // "compaction" of the spill paths.
       bool delta_done = false;
-      if (options_.delta_spill && base_on_disk && !force_compaction) {
+      if (base_on_disk && !force_compaction) {
         size_t record_entries = 0;
         std::string record = storage::EncodeDeltaRecord(
             db, *table, spilled_through, upto, &record_entries);

@@ -15,10 +15,10 @@
 // ## Staleness is impossible by construction
 //
 // Tables are keyed by a root fingerprint — db hash ⊕ constraint-set
-// digest hash ⊕ generator identity ⊕ the pruning flag — and every
-// component is *verified* (full database equality, rendered-constraint
-// equality, identity-string equality) before a table is handed out, so a
-// 64-bit collision can create a fresh root, never a wrong hit. Mutating a
+// digest hash ⊕ generator identity — and every component is *verified*
+// (full database equality, rendered-constraint equality,
+// identity-string equality) before a table is handed out, so a 64-bit
+// collision can create a fresh root, never a wrong hit. Mutating a
 // database changes its hash: subsequent queries simply fingerprint to a
 // new root. InvalidateDatabase additionally drops the superseded roots
 // eagerly so their memory is reclaimed before the LRU would get to them.
@@ -88,9 +88,9 @@
 namespace opcqa {
 
 struct RepairCacheOptions {
-  /// Per-root transposition-table budgets (repair/memo.h eviction).
-  size_t max_entries_per_root = TranspositionTable::kDefaultMaxEntries;
-  /// 0 disables the per-root byte budget.
+  /// Per-root transposition-table byte budget (repair/memo.h eviction;
+  /// the entry budget is TranspositionTable::kDefaultMaxEntries). 0
+  /// disables it.
   size_t max_bytes_per_root = 0;
   /// Distinct (database, constraints, generator) roots kept live; the
   /// least-recently-used root is dropped beyond this.
@@ -98,22 +98,16 @@ struct RepairCacheOptions {
   /// Directory of the disk tier (storage/snapshot_store.h); empty keeps
   /// the cache memory-only (the PR-4 behavior).
   std::string snapshot_dir;
-  /// Spill a root's table when it demotes out of memory and on
-  /// destruction (only meaningful with a snapshot_dir; explicit
-  /// Persist() always spills).
-  bool spill_on_evict = true;
   /// Byte budget for the snapshot directory (bases + delta logs),
   /// enforced oldest-root-first after every spill; 0 disables disk GC.
   size_t max_disk_bytes = 0;
-  /// Append-only delta spills: once a root's base snapshot exists, a
-  /// spill writes only the entries admitted since the last spill to the
-  /// root's delta log. Off = every spill rewrites the whole base (the
-  /// PR-5 behavior, in the v2 encoding).
-  bool delta_spill = true;
-  /// Compact the delta log back into a fresh base once its size exceeds
+  /// Once a root's base snapshot exists, a spill appends only the
+  /// entries admitted since the last spill to the root's delta log, and
+  /// compacts the log back into a fresh base once its size would exceed
   /// this fraction of the base snapshot's size. <= 0 compacts on every
-  /// spill (a log never survives); large values let the log grow long —
-  /// restores pay proportionally more decode.
+  /// spill (a log never survives: every non-empty spill rewrites the
+  /// base); large values let the log grow long — restores pay
+  /// proportionally more decode.
   double log_compaction_ratio = 0.5;
   /// Global byte budget across every live root's table; 0 disables.
   /// Overflow demotes the lowest-retention-score root early, before the
@@ -188,22 +182,22 @@ struct DiskTierStats {
 class RepairSpaceCache {
  public:
   explicit RepairSpaceCache(RepairCacheOptions options = {});
-  /// Spills every live root to the disk tier (when configured with
-  /// spill_on_evict) and waits for in-flight background spills.
+  /// Spills every live root to the disk tier (when configured) and waits
+  /// for in-flight background spills.
   ~RepairSpaceCache();
 
   RepairSpaceCache(const RepairSpaceCache&) = delete;
   RepairSpaceCache& operator=(const RepairSpaceCache&) = delete;
 
-  /// The persistent table for this exact (db, constraints, generator,
-  /// pruning) root, created on first use — restored from the disk tier
+  /// The persistent table for this exact (db, constraints, generator)
+  /// root, created on first use — restored from the disk tier
   /// when a verified snapshot exists. Returns nullptr when the
   /// generator declines a cache identity — the caller should fall back
   /// to a per-call scratch table. Callers are responsible for the
   /// MemoizationApplicable gate, as with any table.
   std::shared_ptr<TranspositionTable> TableFor(
       const Database& db, const ConstraintSet& constraints,
-      const ChainGenerator& generator, bool prune_zero_probability);
+      const ChainGenerator& generator);
 
   /// True when this exact root is resident in the memory tier. A pure
   /// probe: no LRU touch, no disk restore, no root creation — the
@@ -212,8 +206,7 @@ class RepairSpaceCache {
   /// root; see server/ocqa_server.h). Always false for generators that
   /// decline a cache identity.
   bool HasRoot(const Database& db, const ConstraintSet& constraints,
-               const ChainGenerator& generator,
-               bool prune_zero_probability) const;
+               const ChainGenerator& generator) const;
 
   /// Spills every live root to the disk tier now and blocks until the
   /// snapshots are durable (no-op without a snapshot_dir). Safe to call
@@ -250,7 +243,6 @@ class RepairSpaceCache {
     Database db;                     // verification payloads
     std::string constraints_digest;
     std::string generator_identity;
-    bool prune = false;
     uint64_t last_used = 0;
     std::shared_ptr<TranspositionTable> table;
     /// True once a base snapshot for this root exists on disk (written
@@ -273,6 +265,15 @@ class RepairSpaceCache {
     /// a failed append (the log may end mid-record) and after a restore
     /// that hit a torn log tail.
     bool force_compaction = false;
+
+    /// A fingerprint match is only a candidate: every component is
+    /// verified, so hash collisions split into separate roots instead of
+    /// aliasing.
+    bool Matches(size_t other_fingerprint, const Database& other_db,
+                 const std::string& digest, const std::string& identity) const {
+      return fingerprint == other_fingerprint && db == other_db &&
+             constraints_digest == digest && generator_identity == identity;
+    }
   };
 
   /// What RestoreFromDisk hands back besides the table: the numbers the
@@ -297,7 +298,7 @@ class RepairSpaceCache {
   RestoredDisk RestoreFromDisk(const Database& db,
                                const ConstraintSet& constraints,
                                const std::string& digest,
-                               const std::string& identity, bool prune);
+                               const std::string& identity);
   /// Enqueues a spill on the shared pool (the background writer); the
   /// task renders, encodes and writes without blocking queries. Takes
   /// the root by value (callers move their copy in). Must be called

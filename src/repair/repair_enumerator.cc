@@ -153,7 +153,7 @@ class SubtreeWalker {
       std::vector<Rational> probs =
           CheckedProbabilities(generator_, state, extensions);
       for (size_t i = 0; i < extensions.size(); ++i) {
-        if (options_.prune_zero_probability && probs[i].is_zero()) continue;
+        if (probs[i].is_zero()) continue;  // not an edge of the chain
         state.ApplyTrusted(extensions[i]);
         size_t below = Visit(state, mass * probs[i]);
         state.Revert();
@@ -431,7 +431,7 @@ EnumerationResult EnumerateParallel(RepairingState& root,
   std::vector<RootBranch> branches;
   branches.reserve(extensions.size());
   for (size_t i = 0; i < extensions.size(); ++i) {
-    if (options.prune_zero_probability && probs[i].is_zero()) continue;
+    if (probs[i].is_zero()) continue;
     branches.push_back(RootBranch{i, probs[i]});
   }
   // Speculative pass: every branch walks its subtree on its own forked
@@ -514,14 +514,11 @@ EnumerationResult EnumerateRepairs(const Database& db,
   auto context = RepairContext::Make(db, constraints);
   RepairingState root(context);
   std::shared_ptr<TranspositionTable> memo;
-  if (options.memoize &&
-      MemoizationApplicable(*context, generator,
-                            options.prune_zero_probability)) {
+  if (options.memoize && MemoizationApplicable(*context, generator)) {
     if (options.cache != nullptr) {
       // Persistent root-keyed table: later queries over the same
       // (db, Σ, generator) replay this walk's completed subtrees.
-      memo = options.cache->TableFor(db, constraints, generator,
-                                     options.prune_zero_probability);
+      memo = options.cache->TableFor(db, constraints, generator);
     }
     if (memo == nullptr) {
       memo = std::make_shared<TranspositionTable>(options.memo_max_entries,

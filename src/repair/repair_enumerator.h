@@ -40,8 +40,6 @@ struct EnumerationOptions {
   /// replays count the full virtual subtree, so the budget (and the
   /// truncation it produces) is independent of memoization.
   size_t max_states = 1u << 22;
-  /// Skip zero-probability edges (they are unreachable in the chain).
-  bool prune_zero_probability = true;
   /// Worker threads sharing the enumeration (root-branch sharding);
   /// 0 means DefaultThreads(). Results are identical for every value.
   size_t threads = 1;
@@ -60,8 +58,8 @@ struct EnumerationOptions {
   size_t memo_max_bytes = 0;
   /// Cross-query persistence (repair/repair_cache.h): when set (and
   /// memoize is on and applicable), the enumeration asks this cache for
-  /// the persistent table of its (db, constraints, generator, pruning)
-  /// root instead of building a per-call scratch table, so later queries
+  /// the persistent table of its (db, constraints, generator) root
+  /// instead of building a per-call scratch table, so later queries
   /// over the same root replay this walk's completed subtrees. Not owned.
   /// The per-root budgets come from the cache's own options; memo_stats
   /// then reports the shared table's counter deltas across this call —

@@ -69,18 +69,13 @@ TopKResult TopKRepairs(const Database& db, const ConstraintSet& constraints,
   OPCQA_CHECK_GT(k, 0u);
   TopKResult result;
   auto context = RepairContext::Make(db, constraints);
-  // Best-first expansion always skips zero-probability edges, so the
-  // deletions-only-generator leg of the soundness gate applies.
   const bool merge =
-      options.memoize &&
-      MemoizationApplicable(*context, generator,
-                            /*prune_zero_probability=*/true);
+      options.memoize && MemoizationApplicable(*context, generator);
   // Persistent subtrees recorded by earlier enumerations over this root
   // (see TopKOptions::cache). Same soundness gate as merging.
   std::shared_ptr<TranspositionTable> table;
   if (merge && options.cache != nullptr) {
-    table = options.cache->TableFor(db, constraints, generator,
-                                    /*prune_zero_probability=*/true);
+    table = options.cache->TableFor(db, constraints, generator);
   }
 
   std::vector<Pending> pool;

@@ -261,7 +261,6 @@ OcqaServer::Tenant& OcqaServer::TenantFor(const std::string& name) {
     session_options.shared_cache = &cache_;
     tenant->session = std::make_unique<engine::OcqaSession>(
         base_, constraints_, session_options);
-    tenant->options = options_.tenant_defaults;
     it = tenants_.emplace(name, std::move(tenant)).first;
   }
   return *it->second;
@@ -401,7 +400,7 @@ OcqaServer::Unit OcqaServer::NextUnitLocked(Tenant& tenant) {
   Unit unit;
   unit.push_back(std::move(tenant.queue.front()));
   tenant.queue.pop_front();
-  if (IsMutation(unit.front().request) || !options_.batching) return unit;
+  if (IsMutation(unit.front().request)) return unit;
   // Copy, not reference: push_back below reallocates `unit`.
   const std::string head_generator = unit.front().request.generator;
   // Pull every same-generator read out of the read prefix: between here
@@ -535,14 +534,9 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
       for (size_t i = 0; i < unit->size(); ++i) {
         any_walk_member |= !done[i];
       }
-      const bool resident = cache_.HasRoot(
-          session.database(), session.constraints(), *generator,
-          session.options().enumeration.prune_zero_probability);
-      MemoStats shared = cache_.TotalStats();
-      const bool pressured =
-          cache_.roots() >= options_.cache.max_roots ||
-          (options_.max_cache_bytes != 0 &&
-           shared.bytes >= options_.max_cache_bytes);
+      const bool resident = cache_.HasRoot(session.database(),
+                                           session.constraints(), *generator);
+      const bool pressured = cache_.roots() >= options_.cache.max_roots;
       if (any_walk_member && !resident && pressured) {
         RepairCacheOptions ephemeral = options_.cache;
         ephemeral.max_roots = 1;

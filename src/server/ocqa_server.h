@@ -47,7 +47,7 @@
 // ## Cache pressure
 //
 // A read whose root is not resident while the shared cache is at its
-// root/byte budget would evict a live root that other tenants are
+// max_roots budget would evict a live root that other tenants are
 // replaying from. Under pressure the unit instead computes on a private
 // single-root cache that dies with the unit (batching still amortizes
 // within the unit) — new cold roots degrade to uncached compute instead
@@ -113,18 +113,9 @@ struct ServerOptions {
   /// filter is forced off regardless of what this says: batching relies
   /// on the first walk admitting the whole chain.
   RepairCacheOptions cache;
-  /// Byte-pressure threshold for the uncached-compute bypass (0 = only
-  /// the max_roots budget signals pressure).
-  size_t max_cache_bytes = 0;
-  /// Same-root batching (off = every read is a singleton unit; answers
-  /// are identical either way, only walk counts differ).
-  bool batching = true;
   /// Per-tenant session defaults (threads, memoize, base max_states).
   EnumerationOptions enumeration;
   planner::PlanMode plan = planner::PlanMode::kAuto;
-  /// Applied to tenants created implicitly by Submit(); AddTenant sets
-  /// explicit ones.
-  TenantOptions tenant_defaults;
 
   ServerOptions() { enumeration.memoize = true; }  // serving IS sharing
 };
@@ -188,7 +179,8 @@ class OcqaServer {
                          std::shared_ptr<const ChainGenerator> generator);
 
   /// Creates a tenant with explicit QoS options (idempotent; options of
-  /// an existing tenant are updated).
+  /// an existing tenant are updated). Tenants created implicitly by
+  /// Submit() get TenantOptions{}.
   void AddTenant(const std::string& name, TenantOptions options);
 
   /// Enqueues one request; the future resolves when it executes (or

@@ -25,6 +25,11 @@ constexpr char kLogMagic[8] = {'O', 'P', 'C', 'Q', 'D', 'L', 'O', 'G'};
 constexpr uint32_t kSectionIdentity = 1;
 constexpr uint32_t kSectionEntries = 2;
 constexpr uint32_t kSectionDelta = 3;
+/// The identity's fourth component, once a pruning flag. The chain never
+/// takes a zero-probability edge, so it is always 1; the byte stays for
+/// format and file-name stability, and any other value is a root this
+/// build cannot produce.
+constexpr char kPruneByte = 1;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the ubiquitous choice for
 /// detecting accidental corruption in storage formats.
@@ -368,7 +373,7 @@ std::string EncodeIdentityPayload(const SnapshotIdentity& identity) {
   writer.Str(identity.db_text);
   writer.Str(identity.constraints_digest);
   writer.Str(identity.generator_identity);
-  writer.U8(identity.prune ? 1 : 0);
+  writer.U8(kPruneByte);
   return payload;
 }
 
@@ -382,12 +387,12 @@ Status VerifyIdentityPayload(const char* data, size_t size,
   stored.db_text = reader.Str();
   stored.constraints_digest = reader.Str();
   stored.generator_identity = reader.Str();
-  stored.prune = reader.U8() != 0;
+  uint8_t prune = reader.U8();
   if (!reader.ok() || !reader.AtEnd()) return Corrupt("identity framing");
   if (stored.db_text != expected.db_text ||
       stored.constraints_digest != expected.constraints_digest ||
       stored.generator_identity != expected.generator_identity ||
-      stored.prune != expected.prune) {
+      prune != kPruneByte) {
     return Corrupt("identity mismatch (another root, or stale schema)");
   }
   return Status::Ok();
@@ -568,8 +573,7 @@ uint64_t StableFingerprint(const SnapshotIdentity& identity) {
   mix(&separator, 1);
   mix(identity.generator_identity.data(), identity.generator_identity.size());
   mix(&separator, 1);
-  char prune = identity.prune ? 1 : 0;
-  mix(&prune, 1);
+  mix(&kPruneByte, 1);
   return hash;
 }
 

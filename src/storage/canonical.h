@@ -68,14 +68,15 @@
 namespace opcqa {
 namespace storage {
 
-/// The four verified components of a cache root's identity (see
+/// The three verified components of a cache root's identity (see
 /// repair/repair_cache.h): database content, constraint set, generator
-/// parameterization, pruning flag — all rendered, never hashed.
+/// parameterization — all rendered, never hashed. The encoded identity
+/// and StableFingerprint also carry a constant byte 1, the former
+/// pruning flag, so on-disk bytes and snapshot file names are unchanged.
 struct SnapshotIdentity {
   std::string db_text;             // Database::ToString() of the chain root
   std::string constraints_digest;  // RenderConstraints(schema, Σ)
   std::string generator_identity;  // ChainGenerator::cache_identity()
-  bool prune = false;
 };
 
 /// Deterministic rendering of Σ (one constraint per line). The single

@@ -29,6 +29,9 @@ namespace {
 constexpr char kSuffix[] = ".snap";
 constexpr char kLogSuffix[] = ".log";
 constexpr char kTempPrefix[] = ".tmp-";
+/// A temp file older than this is a crashed writer's leftover, not an
+/// in-flight spill, and may be swept by any process.
+constexpr std::chrono::hours kTempMaxAge{1};
 
 /// True for a committed (non-dot-prefixed) file name ending in `suffix`.
 bool HasStoreSuffix(const std::string& name, const char* suffix,
@@ -363,7 +366,7 @@ void SnapshotStore::SweepStaleTempsLocked() {
     std::error_code stat_error;
     fs::file_time_type mtime = entry.last_write_time(stat_error);
     if (!stat_error &&
-        fs::file_time_type::clock::now() - mtime > options_.temp_max_age) {
+        fs::file_time_type::clock::now() - mtime > kTempMaxAge) {
       std::error_code ignored;
       if (fs::remove(entry.path(), ignored)) ++stats_.swept_temps;
     }

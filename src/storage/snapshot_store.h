@@ -34,7 +34,7 @@
 //     The just-written root is always kept, so a budget smaller than one
 //     snapshot degrades to "keep the newest" instead of making the tier
 //     useless.
-//   * Crashed-writer sweep. Temp files older than `temp_max_age` are
+//   * Crashed-writer sweep. Temp files older than an hour are
 //     removed at construction and before every GC pass, so a long-lived
 //     process cannot count orphaned temps against its disk budget.
 //
@@ -46,7 +46,6 @@
 #ifndef OPCQA_STORAGE_SNAPSHOT_STORE_H_
 #define OPCQA_STORAGE_SNAPSHOT_STORE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -68,9 +67,6 @@ struct SnapshotStoreOptions {
   int put_retries = 2;
   /// Backoff before retry k is retry_backoff_ms << (k - 1).
   uint64_t retry_backoff_ms = 1;
-  /// A temp file older than this is a crashed writer's leftover, not an
-  /// in-flight spill, and may be swept by any process.
-  std::chrono::seconds temp_max_age = std::chrono::hours{1};
 };
 
 /// Counters for the hardening paths; plumbed into DiskTierStats by the
@@ -156,7 +152,7 @@ class SnapshotStore {
  private:
   /// One write-temp + rename attempt; removes its temp file on failure.
   Status PutAttemptLocked(uint64_t fingerprint, const std::string& bytes);
-  /// Removes temp files older than temp_max_age.
+  /// Removes temp files older than kTempMaxAge (snapshot_store.cc).
   void SweepStaleTempsLocked();
   /// Deletes whole roots (base + log) oldest-first by base mtime — never
   /// the root named `keep_stem` — until within max_disk_bytes; sweeps

@@ -197,7 +197,7 @@ TEST(EnumeratorTest, EquiprobableRepairsComeOutInDatabaseOrder) {
       // Every stored outcome lists its shares in value order of the
       // repairs they reconstruct to (entry database minus share ids).
       std::shared_ptr<TranspositionTable> table =
-          cache.TableFor(w.db, w.constraints, gen, true);
+          cache.TableFor(w.db, w.constraints, gen);
       ASSERT_NE(table, nullptr);
       size_t entries = 0;
       table->ForEach([&](const std::vector<FactId>& removed,

@@ -112,19 +112,18 @@ TEST(MemoizationApplicableTest, GatesOnDeletionOnlyChainsAndMemorylessness) {
   gen::Workload keys = gen::MakeKeyViolationWorkload(3, 2, 2, /*seed=*/1);
   auto denial = RepairContext::Make(keys.db, keys.constraints);
   ASSERT_TRUE(denial->denial_only);
-  EXPECT_TRUE(MemoizationApplicable(*denial, uniform, true));
-  EXPECT_TRUE(MemoizationApplicable(*denial, uniform, false));
+  EXPECT_TRUE(MemoizationApplicable(*denial, uniform));
   // History-dependent generators never memoize.
-  EXPECT_FALSE(MemoizationApplicable(*denial, opaque, true));
+  EXPECT_FALSE(MemoizationApplicable(*denial, opaque));
 
   gen::Workload tgd = gen::PaperExample1();
   auto general = RepairContext::Make(tgd.db, tgd.constraints);
   ASSERT_FALSE(general->denial_only);
   // Additions can enter the chain → the path matters.
-  EXPECT_FALSE(MemoizationApplicable(*general, uniform, true));
-  // A deletions-only generator with pruning keeps additions out.
-  EXPECT_TRUE(MemoizationApplicable(*general, deletions, true));
-  EXPECT_FALSE(MemoizationApplicable(*general, deletions, false));
+  EXPECT_FALSE(MemoizationApplicable(*general, uniform));
+  // A deletions-only generator gives additions probability zero, and
+  // zero-probability edges are not edges of the chain.
+  EXPECT_TRUE(MemoizationApplicable(*general, deletions));
 }
 
 // ---------------------------------------------------------------------

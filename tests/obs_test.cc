@@ -119,9 +119,8 @@ TEST(HistogramPercentileTest, SubSixteenNanoSamplesAreExact) {
 // Snapshot merge under hammering (the TSan job runs this)
 // ---------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, EightThreadsHammerOneCounterAndHistogram) {
+TEST(MetricsRegistryTest, EightThreadsHammerOneHistogram) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  obs::Counter* counter = registry.GetCounter("obs_test.hammer");
   Histogram* hist = registry.GetHistogram("obs_test.hammer_ms");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
@@ -129,7 +128,6 @@ TEST(MetricsRegistryTest, EightThreadsHammerOneCounterAndHistogram) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        counter->Add(1);
         hist->RecordNanos(static_cast<uint64_t>(t * kPerThread + i));
       }
     });
@@ -138,27 +136,26 @@ TEST(MetricsRegistryTest, EightThreadsHammerOneCounterAndHistogram) {
   // under-approximations — never above the final total.
   for (int probe = 0; probe < 50; ++probe) {
     obs::MetricsSnapshot snap = registry.Snapshot();
-    auto it = snap.counters.find("obs_test.hammer");
-    if (it != snap.counters.end()) {
-      EXPECT_LE(it->second, uint64_t{kThreads} * kPerThread);
+    auto it = snap.histograms.find("obs_test.hammer_ms");
+    if (it != snap.histograms.end()) {
+      EXPECT_LE(it->second.count, uint64_t{kThreads} * kPerThread);
     }
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter->Total(), uint64_t{kThreads} * kPerThread);
   EXPECT_EQ(hist->Snapshot().count, uint64_t{kThreads} * kPerThread);
 }
 
 TEST(MetricsRegistryTest, HandlesAreInternedAndKillSwitchDropsWrites) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  obs::Counter* counter = registry.GetCounter("obs_test.kill");
-  EXPECT_EQ(counter, registry.GetCounter("obs_test.kill"));
-  uint64_t before = counter->Total();
+  Histogram* hist = registry.GetHistogram("obs_test.kill_ms");
+  EXPECT_EQ(hist, registry.GetHistogram("obs_test.kill_ms"));
+  uint64_t before = hist->Snapshot().count;
   registry.set_enabled(false);
-  counter->Add(100);
+  hist->RecordNanos(100);
   registry.set_enabled(true);
-  EXPECT_EQ(counter->Total(), before);
-  counter->Add(1);
-  EXPECT_EQ(counter->Total(), before + 1);
+  EXPECT_EQ(hist->Snapshot().count, before);
+  hist->RecordNanos(1);
+  EXPECT_EQ(hist->Snapshot().count, before + 1);
 }
 
 // ---------------------------------------------------------------------

@@ -127,7 +127,7 @@ TEST(RepairSpaceCacheTest, GeneratorsWithoutIdentityNeverShare) {
       },
       /*deletions_only=*/false, /*memoryless=*/true);
   RepairSpaceCache cache;
-  EXPECT_EQ(cache.TableFor(w.db, w.constraints, anonymous, true), nullptr);
+  EXPECT_EQ(cache.TableFor(w.db, w.constraints, anonymous), nullptr);
   EnumerationResult result = EnumerateRepairs(w.db, w.constraints, anonymous,
                                               MemoOptions(&cache));
   EXPECT_EQ(cache.roots(), 0u);

@@ -57,6 +57,42 @@ class TempDir {
   std::string path_;
 };
 
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char byte : bytes) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+/// `snapshot` with the last byte of its identity section (the former
+/// pruning flag) set to `value` and the section CRC recomputed, so only
+/// the identity check can reject it. Layout: 8-byte magic, u32 version,
+/// u32 section count, then the identity section's u32 id, u64 size, u32
+/// CRC-32 and payload, all little-endian.
+std::string WithPruneByte(std::string snapshot, char value) {
+  constexpr size_t kSizeAt = 20, kCrcAt = 28, kPayloadAt = 32;
+  uint64_t size = 0;
+  for (int i = 7; i >= 0; --i) {
+    size = (size << 8) | static_cast<uint8_t>(snapshot[kSizeAt + i]);
+  }
+  snapshot[kPayloadAt + size - 1] = value;
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = kPayloadAt; i < kPayloadAt + size; ++i) {
+    crc ^= static_cast<uint8_t>(snapshot[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  crc ^= 0xFFFFFFFFu;
+  for (int i = 0; i < 4; ++i) {
+    snapshot[kCrcAt + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+  }
+  return snapshot;
+}
+
 EnumerationOptions MemoOptions(RepairSpaceCache* cache) {
   EnumerationOptions options;
   options.memoize = true;
@@ -104,8 +140,7 @@ void WarmDiskTier(const gen::Workload& w, const ChainGenerator& generator,
   ASSERT_GE(cache.disk_stats().spills, 1u);
 }
 
-/// The snapshot file the cache writes for `w` under the uniform
-/// generator with default (pruning) options.
+/// The snapshot file the cache writes for `w` under `generator`.
 fs::path SnapshotPathFor(const gen::Workload& w,
                          const ChainGenerator& generator,
                          const std::string& dir) {
@@ -114,7 +149,6 @@ fs::path SnapshotPathFor(const gen::Workload& w,
   identity.constraints_digest =
       storage::RenderConstraints(*w.schema, w.constraints);
   identity.generator_identity = generator.cache_identity();
-  identity.prune = true;
   return fs::path(dir) / storage::SnapshotStore::FileName(
                              storage::StableFingerprint(identity));
 }
@@ -163,7 +197,7 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   std::shared_ptr<TranspositionTable> table =
-      cache.TableFor(w.db, w.constraints, generator, true);
+      cache.TableFor(w.db, w.constraints, generator);
   ASSERT_NE(table, nullptr);
   ASSERT_GT(table->size(), 0u);
 
@@ -172,7 +206,6 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   identity.constraints_digest =
       storage::RenderConstraints(*w.schema, w.constraints);
   identity.generator_identity = generator.cache_identity();
-  identity.prune = true;
   std::string bytes = storage::EncodeSnapshot(identity, w.db, *table);
 
   Result<std::shared_ptr<TranspositionTable>> decoded =
@@ -191,6 +224,35 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
                               other.constraints,
                               TranspositionTable::kDefaultMaxEntries, 0);
   EXPECT_FALSE(rejected.ok());
+
+  // A well-framed snapshot whose former pruning byte is 0 names a root
+  // this build never produces (it always prunes): an identity mismatch.
+  Result<std::shared_ptr<TranspositionTable>> unpruned =
+      storage::DecodeSnapshot(WithPruneByte(bytes, 0), identity, w.db,
+                              w.constraints,
+                              TranspositionTable::kDefaultMaxEntries, 0);
+  ASSERT_FALSE(unpruned.ok());
+  EXPECT_NE(unpruned.status().ToString().find("identity mismatch"),
+            std::string::npos)
+      << unpruned.status().ToString();
+}
+
+// The on-disk identity still carries the former pruning flag as a
+// constant byte 1, so snapshot bytes and root-<fp>.snap names match
+// files written before the flag was removed. Both values below were
+// captured from a build that still had the flag (set to true).
+TEST(StorageSnapshotTest, IdentityBytesAndFingerprintArePinned) {
+  storage::SnapshotIdentity identity;
+  identity.db_text = "R(a,b)\nR(a,c)\n";
+  identity.constraints_digest = "R(x,y), R(x,z) -> y = z\n";
+  identity.generator_identity = "uniform";
+  EXPECT_EQ(storage::StableFingerprint(identity), 0x88ae3e25436f829aULL);
+  // Delta-log head: magic, version, then the identity section (id, size,
+  // CRC, and the payload: three length-prefixed strings and the byte 1).
+  EXPECT_EQ(Hex(storage::EncodeDeltaLogHead(identity)),
+            "4f504351444c4f4702000000010000003a0000000000000078ff22450e"
+            "0000005228612c62290a5228612c63290a180000005228782c79292c2052"
+            "28782c7a29202d3e2079203d207a0a07000000756e69666f726d01");
 }
 
 // ---------------------------------------------------------------------

@@ -98,7 +98,6 @@ storage::SnapshotIdentity IdentityFor(const gen::Workload& w,
   identity.constraints_digest =
       storage::RenderConstraints(*w.schema, w.constraints);
   identity.generator_identity = generator.cache_identity();
-  identity.prune = true;
   return identity;
 }
 
@@ -124,7 +123,7 @@ std::shared_ptr<TranspositionTable> WarmTable(const gen::Workload& w,
                                               RepairSpaceCache* cache) {
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(cache));
-  return cache->TableFor(w.db, w.constraints, generator, true);
+  return cache->TableFor(w.db, w.constraints, generator);
 }
 
 /// Stamps `count` synthetic entries into `table`, each removing a
@@ -402,7 +401,7 @@ TEST(DeltaSpillTest, FailedCompactionLeavesPreviousBaseAndLogReadable) {
     options.log_compaction_ratio = 0.0;  // force the compaction path
     RepairSpaceCache cache(options);
     std::shared_ptr<TranspositionTable> table =
-        cache.TableFor(w.db, w.constraints, generator, true);
+        cache.TableFor(w.db, w.constraints, generator);
     ASSERT_NE(table, nullptr);
     ASSERT_EQ(cache.disk_stats().restores, 1u);
     AddSyntheticEntries(w, table.get(), 1, &counter);
@@ -575,12 +574,12 @@ TEST(DeltaSpillTest, DeltaSpillsCutBytesWrittenAtLeastThreefold) {
   UniformChainGenerator generator;
   // Identical mutating workload under both modes: a warmed base, then
   // eight rounds of four admitted entries with a Persist after each —
-  // the steady state of a long-lived session that keeps learning.
-  auto bytes_written = [&](bool delta_spill) {
+  // the steady state of a long-lived session that keeps learning. The
+  // full-rewrite arm compacts on every spill (log_compaction_ratio 0).
+  auto bytes_written = [&](bool delta) {
     TempDir dir;
     RepairCacheOptions options = DiskOptions(dir.path());
-    options.delta_spill = delta_spill;
-    options.log_compaction_ratio = 1e9;
+    options.log_compaction_ratio = delta ? 1e9 : 0.0;
     RepairSpaceCache cache(options);
     std::shared_ptr<TranspositionTable> table =
         WarmTable(w, generator, &cache);
@@ -593,7 +592,7 @@ TEST(DeltaSpillTest, DeltaSpillsCutBytesWrittenAtLeastThreefold) {
     }
     DiskTierStats disk = cache.disk_stats();
     EXPECT_EQ(disk.failed_spills, 0u);
-    if (delta_spill) {
+    if (delta) {
       EXPECT_EQ(disk.delta_appends, 8u);
       EXPECT_EQ(disk.spills, 1u);
     } else {
