@@ -82,26 +82,4 @@ void BodyImageIds(const ConstraintSet& constraints, const Violation& violation,
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
-bool BodyImageIntersects(const ConstraintSet& constraints,
-                         const Violation& violation,
-                         const std::vector<FactId>& facts) {
-  const Constraint& c = constraints[violation.constraint_index];
-  const FactStore& store = FactStore::Global();
-  for (const Atom& atom : c.body().atoms()) {
-    for (FactId id : facts) {
-      FactView view = store.View(id);
-      if (view.pred != atom.pred() || view.arity != atom.arity()) continue;
-      bool equal = true;
-      for (size_t i = 0; i < view.arity; ++i) {
-        if (violation.h.Apply(atom.terms()[i]) != view.args[i]) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace opcqa

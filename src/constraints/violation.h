@@ -56,15 +56,6 @@ std::vector<Fact> BodyImage(const ConstraintSet& constraints,
 void BodyImageIds(const ConstraintSet& constraints, const Violation& violation,
                   std::vector<FactId>* ids);
 
-/// True when h(ϕ) intersects `facts` — an id-level check that never
-/// materializes the image. Deleting facts from a database kills exactly the
-/// EGD/DC violations whose image they intersect (bodies are monotone and
-/// their conclusions ignore the database), which lets repairing states
-/// maintain V(D,Σ) incrementally under deletions.
-bool BodyImageIntersects(const ConstraintSet& constraints,
-                         const Violation& violation,
-                         const std::vector<FactId>& facts);
-
 }  // namespace opcqa
 
 #endif  // OPCQA_CONSTRAINTS_VIOLATION_H_

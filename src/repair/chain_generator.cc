@@ -12,17 +12,24 @@ std::vector<Rational> CheckedProbabilities(
   OPCQA_CHECK_EQ(probs.size(), extensions.size())
       << "generator '" << generator.name()
       << "' returned a distribution of the wrong size";
-  // Accumulate the sum unreduced: Σ p_i == 1 iff num == den, and skipping
-  // the per-step gcd reduction keeps this per-state stochasticity check off
-  // the enumeration/sampling hot path.
+  // Accumulate the sum unreduced: Σ p_i == 1 iff num == den. A weight
+  // whose denominator equals the running one adds its numerator; only a
+  // new denominator cross-multiplies. Generators mostly emit one shared
+  // denominator (1/k), so the check stays linear in the number of
+  // extensions instead of multiplying out a product of all denominators.
   BigInt num(0);
   BigInt den(1);
   for (const Rational& p : probs) {
     OPCQA_CHECK(!p.is_negative())
         << "generator '" << generator.name() << "' returned probability "
         << p;
-    num = num * p.denominator() + p.numerator() * den;
-    den = den * p.denominator();
+    if (p.is_zero()) continue;
+    if (p.denominator() == den) {
+      num += p.numerator();
+    } else {
+      num = num * p.denominator() + p.numerator() * den;
+      den *= p.denominator();
+    }
   }
   OPCQA_CHECK(num == den)
       << "generator '" << generator.name()

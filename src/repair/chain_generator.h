@@ -70,7 +70,9 @@ class ChainGenerator {
 
 /// Validates and returns the distribution for a state: non-negative values
 /// summing to exactly 1 (CHECK-fails otherwise, as the generator would not
-/// define a Markov chain).
+/// define a Markov chain). The exact sum adds numerators while weights share
+/// one denominator and cross-multiplies only at a new one, so a uniform
+/// distribution costs one BigInt addition per extension.
 std::vector<Rational> CheckedProbabilities(
     const ChainGenerator& generator, const RepairingState& state,
     const std::vector<Operation>& extensions);

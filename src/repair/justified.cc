@@ -1,8 +1,12 @@
 #include "repair/justified.h"
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <set>
+#include <utility>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace opcqa {
@@ -155,33 +159,73 @@ std::shared_ptr<const DeletionCandidateIndex> DeletionCandidateIndex::Build(
     rank_of.emplace(ids, static_cast<uint32_t>(index->ops_.size()));
     index->ops_.push_back(Operation::RemoveIds(ids));
   }
-  // Pass 2: each violation's subsets as sorted ranks into the pool.
+  // Pass 2, in id order: each violation's subsets as ranks into the pool,
+  // and its body-image facts as (fact, id) incidences.
+  auto size32 = [](const std::vector<uint32_t>& v) {
+    return static_cast<uint32_t>(v.size());
+  };
+  std::vector<std::pair<FactId, uint32_t>> incidences;
   for (const Violation& v : violations) {
+    uint32_t id = static_cast<uint32_t>(index->violations_.size());
+    index->violations_.push_back(v);
+    index->mixed_hashes_.push_back(HashMix64(v.Hash()));
+    index->rank_begin_.push_back(size32(index->rank_data_));
     IdSubsetSet subsets;
     EmitDeletionSubsets(constraints, v, &image, &subsets);
-    std::vector<uint32_t>& ranks = index->ranks_[v];
-    ranks.reserve(subsets.size());
     for (const std::vector<FactId>& ids : subsets) {
-      ranks.push_back(rank_of.at(ids));
+      index->rank_data_.push_back(rank_of.at(ids));
     }
-    std::sort(ranks.begin(), ranks.end());
+    for (FactId fact : image) incidences.emplace_back(fact, id);
   }
+  index->rank_begin_.push_back(size32(index->rank_data_));
+  // Ids were emitted ascending per violation, so sorting by (fact, id)
+  // leaves each fact's id list ascending.
+  std::sort(incidences.begin(), incidences.end());
+  std::vector<FactId>& facts = index->incident_facts_;
+  for (const auto& [fact, id] : incidences) {
+    if (facts.empty() || facts.back() != fact) {
+      facts.push_back(fact);
+      index->incident_begin_.push_back(size32(index->incident_data_));
+    }
+    index->incident_data_.push_back(id);
+  }
+  index->incident_begin_.push_back(size32(index->incident_data_));
   return index;
 }
 
-bool DeletionCandidateIndex::AppendFor(const ViolationSet& violations,
-                                       std::vector<Operation>* ops) const {
-  std::vector<uint32_t> merged;
-  for (const Violation& v : violations) {
-    auto it = ranks_.find(v);
-    if (it == ranks_.end()) return false;
-    merged.insert(merged.end(), it->second.begin(), it->second.end());
+std::span<const uint32_t> DeletionCandidateIndex::Incident(FactId fact) const {
+  const std::vector<FactId>& facts = incident_facts_;
+  auto it = std::lower_bound(facts.begin(), facts.end(), fact);
+  if (it == facts.end() || *it != fact) return {};
+  size_t i = static_cast<size_t>(it - facts.begin());
+  const uint32_t* data = incident_data_.data();
+  return {data + incident_begin_[i], data + incident_begin_[i + 1]};
+}
+
+void DeletionCandidateIndex::WriteFor(const std::vector<uint32_t>& ids,
+                                      std::vector<uint64_t>* marks,
+                                      std::vector<Operation>* ops) const {
+  // Union of the rank lists as a bitmap over ops_: reading its set bits
+  // in order yields the ranks sorted and deduplicated without a sort.
+  marks->assign((ops_.size() + 63) / 64, 0);
+  for (uint32_t id : ids) {
+    for (uint32_t i = rank_begin_[id]; i < rank_begin_[id + 1]; ++i) {
+      (*marks)[rank_data_[i] / 64] |= uint64_t{1} << (rank_data_[i] % 64);
+    }
   }
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  ops->reserve(ops->size() + merged.size());
-  for (uint32_t rank : merged) ops->push_back(ops_[rank]);
-  return true;
+  size_t n = 0;
+  for (size_t word = 0; word < marks->size(); ++word) {
+    for (uint64_t bits = (*marks)[word]; bits != 0; bits &= bits - 1) {
+      const Operation& op = ops_[word * 64 + std::countr_zero(bits)];
+      if (n < ops->size()) {
+        (*ops)[n] = op;
+      } else {
+        ops->push_back(op);
+      }
+      ++n;
+    }
+  }
+  ops->resize(n);
 }
 
 std::vector<Operation> JustifiedOperations(const Database& db,

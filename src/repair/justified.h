@@ -13,8 +13,8 @@
 #define OPCQA_REPAIR_JUSTIFIED_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "constraints/violation.h"
@@ -42,8 +42,11 @@ std::vector<Operation> JustifiedDeletions(const Database& db,
 /// EGDs/DCs only, deletions are violation-monotone, so the violations of
 /// any reachable state are a subset of V(D,Σ) and all candidate
 /// operations can be materialized once per repair space. Each step then
-/// reduces to merging pre-sorted rank lists and copying pre-built
-/// Operations.
+/// reduces to merging rank lists and copying pre-built Operations.
+///
+/// Violations are named by dense ids: the id of a violation is its
+/// position in the sorted set given to Build (normally V(D,Σ)). Ids are
+/// local to one index — they never name a violation outside it.
 ///
 /// Built by RepairContext::Make for denial-only constraint sets and
 /// shared (immutably) by every state, thread and walk over that context.
@@ -53,23 +56,48 @@ class DeletionCandidateIndex {
   static std::shared_ptr<const DeletionCandidateIndex> Build(
       const ConstraintSet& constraints, const ViolationSet& violations);
 
-  /// Appends the justified deletions for `violations` to `ops` —
-  /// byte-identical (same operations, same order) to
-  /// JustifiedDeletions(db, constraints, violations). Returns false and
-  /// leaves `ops` untouched when some violation is not indexed; the
-  /// caller falls back to recomputing from scratch.
-  bool AppendFor(const ViolationSet& violations,
-                 std::vector<Operation>* ops) const;
-
-  size_t num_violations() const { return ranks_.size(); }
+  size_t num_violations() const { return violations_.size(); }
   size_t num_candidates() const { return ops_.size(); }
+
+  /// The violation with id `id`.
+  const Violation& violation(uint32_t id) const { return violations_[id]; }
+  /// HashMix64(violation(id).Hash()): the violation's term in the
+  /// eliminated-set fingerprint of RepairingState.
+  size_t mixed_hash(uint32_t id) const { return mixed_hashes_[id]; }
+
+  /// Ids (ascending) of the violations whose body image contains `fact`;
+  /// empty for a fact in no body image. Deleting a set of facts removes
+  /// exactly the violations incident to one of them.
+  std::span<const uint32_t> Incident(FactId fact) const;
+
+  /// Replaces the contents of `ops` by the justified deletions of the
+  /// violations `ids` (ascending, each < num_violations()): the same
+  /// operations in the same order as JustifiedDeletions(db, constraints,
+  /// {violation(id) : id ∈ ids}). Operations are copy-assigned over the
+  /// existing elements, so a buffer reused across calls keeps their
+  /// storage. `marks` is caller-owned scratch.
+  void WriteFor(const std::vector<uint32_t>& ids,
+                std::vector<uint64_t>* marks,
+                std::vector<Operation>* ops) const;
 
  private:
   /// Distinct candidate deletions in fact-value lexicographic order (the
   /// order JustifiedDeletions emits).
   std::vector<Operation> ops_;
-  /// Violation → sorted ranks into ops_ (its body-image subsets).
-  std::map<Violation, std::vector<uint32_t>> ranks_;
+  /// Indexed violations in sorted order (position = id), with their
+  /// mixed hashes.
+  std::vector<Violation> violations_;
+  std::vector<size_t> mixed_hashes_;
+  /// Violation id → ranks into ops_ (its body-image subsets):
+  /// rank_data_[rank_begin_[id], rank_begin_[id + 1]).
+  std::vector<uint32_t> rank_begin_;
+  std::vector<uint32_t> rank_data_;
+  /// Fact → incident violation ids: incident_facts_ is sorted, and
+  /// the ids of incident_facts_[i] are
+  /// incident_data_[incident_begin_[i], incident_begin_[i + 1]).
+  std::vector<FactId> incident_facts_;
+  std::vector<uint32_t> incident_begin_;
+  std::vector<uint32_t> incident_data_;
 };
 
 /// Decision version of Definition 3: is `op` (db,Σ)-justified? Used to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <unordered_map>
@@ -132,7 +133,8 @@ class SubtreeWalker {
       return 0;
     }
     out_.max_depth = std::max(out_.max_depth, state.depth());
-    std::vector<Operation> extensions = state.ValidExtensions();
+    std::vector<Operation>& extensions = ExtensionBuffer(state.depth());
+    state.ValidExtensions(&extensions);
     size_t depth_below = 0;
     if (extensions.empty()) {
       // Absorbing state (complete sequence).
@@ -168,6 +170,16 @@ class SubtreeWalker {
   SubtreeResult Take() { return std::move(out_); }
 
  private:
+  // The extension buffer of one depth, reused by every state the walk
+  // visits there. A deque keeps shallower buffers in place while deeper
+  // ones are added below them.
+  std::vector<Operation>& ExtensionBuffer(size_t depth) {
+    while (extension_buffers_.size() <= depth) {
+      extension_buffers_.emplace_back();
+    }
+    return extension_buffers_[depth];
+  }
+
   // One logged leaf contribution: the frozen repair (a stable pointer into
   // out_.aggregated — unordered_map nodes never move, rehashing included)
   // with the absolute mass and sequence count it received.
@@ -319,6 +331,7 @@ class SubtreeWalker {
   std::atomic<size_t>* shared_budget_;
   SubtreeResult out_;
   std::vector<LeafShare> log_;  // only populated when memo_ != nullptr
+  std::deque<std::vector<Operation>> extension_buffers_;  // by state depth
 };
 
 // Accumulates a subtree's counters and aggregation map into the merged

@@ -1,6 +1,7 @@
 #include "repair/repairing_state.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/hash.h"
 #include "util/logging.h"
@@ -26,7 +27,24 @@ std::shared_ptr<const RepairContext> RepairContext::Make(
 RepairingState::RepairingState(std::shared_ptr<const RepairContext> context)
     : context_(std::move(context)),
       db_(context_->initial),
-      violations_(context_->initial_violations) {}
+      violations_(context_->initial_violations) {
+  if (context_->deletion_index != nullptr) {
+    live_ids_.resize(context_->deletion_index->num_violations());
+    std::iota(live_ids_.begin(), live_ids_.end(), 0u);
+  }
+}
+
+RepairingState::RepairingState(const RepairingState& other, ForkTag)
+    : context_(other.context_),
+      db_(other.db_),
+      sequence_(other.sequence_),
+      violations_(other.violations_),
+      eliminated_(other.eliminated_),
+      eliminated_hash_(other.eliminated_hash_),
+      added_(other.added_),
+      removed_(other.removed_),
+      additions_(other.additions_),
+      live_ids_(other.live_ids_) {}
 
 bool RepairingState::CheckNoCancellation(const Operation& op) const {
   // "+F then −G with F ∩ G ≠ ∅" is forbidden in either order.
@@ -115,37 +133,76 @@ void RepairingState::ApplyTrusted(const Operation& op) {
         << "ApplyTrusted requires an effective operation: "
         << op.ToString(context_->initial.schema());
   }
-  ViolationSet next_violations;
-  if (context_->denial_only && op.is_remove()) {
-    // Deletions under EGDs/DCs are violation-monotone: body matches of
-    // D − F are exactly those of D avoiding F, and the conclusions ignore
-    // the database. V(D − F) is therefore the surviving subset of V(D) —
-    // no homomorphism search needed on this hot path.
-    for (const Violation& v : violations_) {
-      if (!BodyImageIntersects(context_->constraints, v, op.fact_ids())) {
-        next_violations.insert(next_violations.end(), v);
-      }
-    }
-  } else {
-    next_violations = ComputeViolations(db_, context_->constraints);
-  }
-  // Track the violation delta (req2 bookkeeping + undo).
   UndoRecord undo;
-  for (const Violation& v : violations_) {
-    if (next_violations.count(v) == 0) {
-      undo.disappeared.push_back(v);
-      if (eliminated_.insert(v).second) {
-        undo.newly_eliminated.push_back(v);
-        eliminated_hash_ += HashMix64(v.Hash());
+  if (context_->deletion_index != nullptr) {
+    OPCQA_CHECK(op.is_remove())
+        << "denial-only contexts admit only deletions: "
+        << op.ToString(context_->initial.schema());
+    RemoveIncidentViolations(op, &undo);
+  } else {
+    // Track the violation delta (req2 bookkeeping + undo).
+    ViolationSet next_violations = ComputeViolations(db_, context_->constraints);
+    for (const Violation& v : violations_) {
+      if (next_violations.count(v) == 0) {
+        undo.disappeared.push_back(v);
+        if (eliminated_.insert(v).second) {
+          undo.newly_eliminated.push_back(v);
+          eliminated_hash_ += HashMix64(v.Hash());
+        }
       }
     }
+    for (const Violation& v : next_violations) {
+      if (violations_.count(v) == 0) undo.appeared.push_back(v);
+    }
+    violations_ = std::move(next_violations);
   }
-  for (const Violation& v : next_violations) {
-    if (violations_.count(v) == 0) undo.appeared.push_back(v);
-  }
-  violations_ = std::move(next_violations);
   sequence_.push_back(op);
   undo_.push_back(std::move(undo));
+}
+
+void RepairingState::RemoveIncidentViolations(const Operation& op,
+                                              UndoRecord* undo) {
+  // Deletions under EGDs/DCs are violation-monotone: body matches of
+  // D − F are exactly those of D avoiding F, and the conclusions ignore
+  // the database. V(D − F) is therefore V(D) minus the live violations
+  // incident to F — no homomorphism search and no sweep over V(D). Such a
+  // violation never was eliminated before (it could not have come back),
+  // so its set node moves from violations_ to eliminated_ as is.
+  const DeletionCandidateIndex& index = *context_->deletion_index;
+  undo->killed_begin = killed_log_.size();
+  for (FactId fact : op.fact_ids()) {
+    for (uint32_t id : index.Incident(fact)) {
+      if (std::binary_search(live_ids_.begin(), live_ids_.end(), id)) {
+        killed_log_.push_back(id);
+      }
+    }
+  }
+  const auto begin = static_cast<ptrdiff_t>(undo->killed_begin);
+  std::sort(killed_log_.begin() + begin, killed_log_.end());
+  auto last = std::unique(killed_log_.begin() + begin, killed_log_.end());
+  killed_log_.erase(last, killed_log_.end());
+  auto killed = killed_log_.begin() + begin;
+  std::erase_if(live_ids_, [&](uint32_t id) {
+    return std::binary_search(killed, killed_log_.end(), id);
+  });
+  for (auto it = killed; it != killed_log_.end(); ++it) {
+    auto node = violations_.extract(index.violation(*it));
+    OPCQA_CHECK(!node.empty()) << "violation id " << *it << " is not live";
+    eliminated_.insert(std::move(node));
+    eliminated_hash_ += index.mixed_hash(*it);
+  }
+}
+
+void RepairingState::RestoreIncidentViolations(const UndoRecord& undo) {
+  const DeletionCandidateIndex& index = *context_->deletion_index;
+  for (size_t i = undo.killed_begin; i < killed_log_.size(); ++i) {
+    uint32_t id = killed_log_[i];
+    violations_.insert(eliminated_.extract(index.violation(id)));
+    eliminated_hash_ -= index.mixed_hash(id);
+    auto pos = std::lower_bound(live_ids_.begin(), live_ids_.end(), id);
+    live_ids_.insert(pos, id);
+  }
+  killed_log_.resize(undo.killed_begin);
 }
 
 void RepairingState::Revert() {
@@ -155,11 +212,15 @@ void RepairingState::Revert() {
   UndoRecord undo = std::move(undo_.back());
   undo_.pop_back();
   // Violations: undo the delta.
-  for (const Violation& v : undo.appeared) violations_.erase(v);
-  for (const Violation& v : undo.disappeared) violations_.insert(v);
-  for (const Violation& v : undo.newly_eliminated) {
-    eliminated_.erase(v);
-    eliminated_hash_ -= HashMix64(v.Hash());
+  if (context_->deletion_index != nullptr) {
+    RestoreIncidentViolations(undo);
+  } else {
+    for (const Violation& v : undo.appeared) violations_.erase(v);
+    for (const Violation& v : undo.disappeared) violations_.insert(v);
+    for (const Violation& v : undo.newly_eliminated) {
+      eliminated_.erase(v);
+      eliminated_hash_ -= HashMix64(v.Hash());
+    }
   }
   // Database and provenance. Every fact of an operation is fresh to its
   // direction (a fact is added / removed at most once per sequence), so
@@ -182,24 +243,28 @@ void RepairingState::Restore(size_t mark) {
 }
 
 RepairingState RepairingState::Fork() const {
-  RepairingState fork = *this;
-  fork.undo_.clear();
-  return fork;
+  return RepairingState(*this, ForkTag{});
 }
 
 std::vector<Operation> RepairingState::ValidExtensions() const {
-  if (violations_.empty()) return {};  // consistent ⇒ nothing is justified
-  if (context_->denial_only) {
-    // Fast path: every justified deletion is a valid extension (no
-    // cancellation partners, no resurrections, no additions to
-    // re-justify). The shared candidate index answers from pre-built
-    // operations; an unindexed violation (never expected — deletions are
-    // violation-monotone) falls back to the from-scratch enumeration.
-    if (context_->deletion_index != nullptr) {
-      std::vector<Operation> ops;
-      if (context_->deletion_index->AppendFor(violations_, &ops)) return ops;
-    }
-    return JustifiedDeletions(db_, context_->constraints, violations_);
+  std::vector<Operation> ops;
+  ValidExtensions(&ops);
+  return ops;
+}
+
+void RepairingState::ValidExtensions(std::vector<Operation>* out) const {
+  if (violations_.empty()) {  // consistent ⇒ nothing is justified
+    out->clear();
+    return;
+  }
+  if (context_->deletion_index != nullptr) {
+    // Denial-only fast path: every justified deletion is a valid extension
+    // (no cancellation partners, no resurrections, no additions to
+    // re-justify), and the shared candidate index answers from pre-built
+    // operations. Denial-only contexts without an index have no
+    // violations and returned above.
+    context_->deletion_index->WriteFor(live_ids_, &rank_marks_, out);
+    return;
   }
   std::vector<Operation> candidates = JustifiedOperations(
       db_, context_->constraints, violations_, context_->base);
@@ -214,7 +279,7 @@ std::vector<Operation> RepairingState::ValidExtensions() const {
     if (!CheckGlobalJustification(op)) continue;
     valid.push_back(op);
   }
-  return valid;
+  *out = std::move(valid);
 }
 
 std::string RepairingState::ToString() const {

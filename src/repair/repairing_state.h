@@ -17,6 +17,14 @@
 // aggregation keys, RepairInfo::repair — come from Snapshot(). States stay
 // copyable for frontier searches (top-k) via Fork(), which drops the undo
 // history: a forked state cannot Revert() past its fork point.
+//
+// On denial-only contexts with a DeletionCandidateIndex the state also
+// tracks its violations by the index's dense ids: a deletion removes
+// exactly the violations incident to its facts, moving their set nodes
+// from violations() to eliminated() in place, and ValidExtensions merges
+// the live ids' rank lists. Ids stay inside the state and its context;
+// violations(), eliminated() and eliminated_hash() keep their value-level
+// contents for the memo, snapshots and generators.
 
 #ifndef OPCQA_REPAIR_REPAIRING_STATE_H_
 #define OPCQA_REPAIR_REPAIRING_STATE_H_
@@ -45,8 +53,9 @@ struct RepairContext {
   bool denial_only = false;
   // Denial-only contexts with initial violations also pre-materialize every
   // candidate deletion once (violation-monotonicity keeps any reachable
-  // state's violations inside V(D,Σ)), so each chain step merges sorted
-  // rank lists instead of re-enumerating subsets. Null otherwise.
+  // state's violations inside V(D,Σ)), so each chain step merges rank
+  // lists instead of re-enumerating subsets. Its violation ids are
+  // positions in initial_violations. Null otherwise.
   std::shared_ptr<const DeletionCandidateIndex> deletion_index;
 
   /// Builds the context, deriving B(D,Σ) from D and the constants of Σ.
@@ -94,6 +103,10 @@ class RepairingState {
   /// Every operation op such that s · op is a repairing sequence. Sorted
   /// deterministically. Empty iff the sequence is complete.
   std::vector<Operation> ValidExtensions() const;
+  /// The same operations, written over the contents of `out`. Walks keep
+  /// one buffer per depth (or per walk) so each step copy-assigns into
+  /// the storage of the previous step's operations.
+  void ValidExtensions(std::vector<Operation>* out) const;
 
   /// True when s · op is a repairing sequence (op need not come from
   /// ValidExtensions()).
@@ -117,7 +130,7 @@ class RepairingState {
   /// Reverts back to an earlier Mark().
   void Restore(size_t mark);
 
-  /// A copy that shares the context but drops the undo history (cheapest
+  /// A copy that shares the context but not the undo history (cheapest
   /// possible copy for frontier searches; cannot Revert past this point).
   RepairingState Fork() const;
 
@@ -143,7 +156,19 @@ class RepairingState {
     std::vector<Violation> appeared;         // in V(D_i) − V(D_{i-1})
     std::vector<Violation> disappeared;      // in V(D_{i-1}) − V(D_i)
     std::vector<Violation> newly_eliminated; // freshly inserted in eliminated_
+    // Indexed contexts leave the three lists empty: the step's removed
+    // violation ids are killed_log_[killed_begin, killed_log_.size()).
+    size_t killed_begin = 0;
   };
+
+  struct ForkTag {};
+  // Copies every member of `other` except the undo history and scratch.
+  RepairingState(const RepairingState& other, ForkTag);
+
+  // ApplyTrusted/Revert of violations() and eliminated() on indexed
+  // contexts.
+  void RemoveIncidentViolations(const Operation& op, UndoRecord* undo);
+  void RestoreIncidentViolations(const UndoRecord& undo);
 
   bool CheckNoCancellation(const Operation& op) const;
   // Probes s · op: applies op to db_ in place, computes V, reverts, and
@@ -162,7 +187,12 @@ class RepairingState {
   std::set<FactId> added_;
   std::set<FactId> removed_;
   std::vector<AdditionRecord> additions_;
+  // Indexed contexts: ids of violations(), ascending.
+  std::vector<uint32_t> live_ids_;
   std::vector<UndoRecord> undo_;
+  std::vector<uint32_t> killed_log_;  // see UndoRecord::killed_begin
+  // Scratch of DeletionCandidateIndex::WriteFor.
+  mutable std::vector<uint64_t> rank_marks_;
 };
 
 }  // namespace opcqa

@@ -57,8 +57,11 @@ size_t Sampler::NumSamples(double epsilon, double delta) {
 WalkResult Sampler::WalkWithRng(Rng* rng) const {
   RepairingState state(context_);
   WalkResult result;
+  // One buffer per walk: each step copy-assigns into the operations of the
+  // previous one instead of allocating them afresh.
+  std::vector<Operation> extensions;
   for (;;) {
-    std::vector<Operation> extensions = state.ValidExtensions();
+    state.ValidExtensions(&extensions);
     if (extensions.empty()) break;  // absorbing
     std::vector<Rational> probs =
         CheckedProbabilities(*generator_, state, extensions);

@@ -6,6 +6,7 @@
 #include "gen/workloads.h"
 #include "repair/preference_generator.h"
 #include "repair/trust_generator.h"
+#include "util/logging.h"
 
 namespace opcqa {
 namespace {
@@ -179,6 +180,53 @@ TEST(TrustGeneratorTest, MultiplePairsStillSumToOne) {
   TrustChainGenerator gen({}, Rational(1, 2));
   std::vector<Rational> probs = CheckedProbabilities(gen, root, exts);
   EXPECT_EQ(probs.size(), exts.size());
+}
+
+// CheckedProbabilities on a fixed distribution over the first `size` root
+// extensions of the key-pair example (the check reads only the sizes, so
+// any operations serve).
+std::vector<Rational> CheckFixed(std::vector<Rational> weights, size_t size) {
+  gen::Workload w = gen::PaperKeyPairExample();
+  RepairingState root = RootState(w);
+  std::vector<Operation> exts = root.ValidExtensions();
+  OPCQA_CHECK_LE(size, exts.size());
+  exts.resize(size);
+  LambdaChainGenerator gen(
+      "fixed",
+      [weights](const RepairingState&, const std::vector<Operation>&) {
+        return weights;
+      });
+  return CheckedProbabilities(gen, root, exts);
+}
+
+void ExpectAccepted(const std::vector<Rational>& weights) {
+  EXPECT_EQ(CheckFixed(weights, weights.size()), weights);
+}
+
+TEST(CheckedProbabilitiesTest, AcceptsExactDistributions) {
+  // Shared denominators, mixed ones, and zeros in any position.
+  const Rational kZero(0), kHalf(1, 2), kThird(1, 3), kSixth(1, 6);
+  ExpectAccepted({kThird, kThird, kThird});
+  ExpectAccepted({kHalf, kThird, kSixth});
+  ExpectAccepted({kZero, kSixth, Rational(5, 6)});
+  ExpectAccepted({kHalf, kZero, kHalf});
+  ExpectAccepted({Rational(1)});
+}
+
+TEST(CheckedProbabilitiesDeathTest, AbortsOnEveryInvalidDistribution) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Rational kHalf(1, 2), kThird(1, 3), kSixth(1, 6);
+  // Equal denominators, sum 2/3.
+  EXPECT_DEATH(CheckFixed({kThird, kThird}, 2), "sum to 2/3");
+  // Mixed denominators, sum 5/6.
+  EXPECT_DEATH(CheckFixed({kHalf, kThird}, 2), "sum to 5/6");
+  // Sum above 1.
+  EXPECT_DEATH(CheckFixed({kHalf, kHalf, kHalf}, 3), "sum to 3/2");
+  // A negative weight, even when the total is 1.
+  EXPECT_DEATH(CheckFixed({-kThird, kHalf + kSixth, kHalf + kSixth}, 3),
+               "returned probability -1/3");
+  // A distribution of the wrong size.
+  EXPECT_DEATH(CheckFixed({Rational(1)}, 3), "wrong size");
 }
 
 }  // namespace

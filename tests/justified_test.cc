@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "constraints/constraint_parser.h"
 #include "gen/workloads.h"
 #include "relational/fact_parser.h"
 #include "repair/justified.h"
+#include "util/hash.h"
 
 namespace opcqa {
 namespace {
@@ -196,41 +201,59 @@ TEST(DeletionCandidateIndexTest, MatchesJustifiedDeletionsOnEverySubset) {
   // The index must reproduce JustifiedDeletions byte-for-byte — same
   // operations, same order — for every violation subset a denial-only
   // walk can reach (violations only disappear along deletion chains).
+  // Subsets are named by violation ids, and one output buffer is reused
+  // across all of them, as walks reuse theirs.
   gen::Workload w = gen::MakeKeyViolationWorkload(3, 2, 2, /*seed=*/9);
   ViolationSet all = ComputeViolations(w.db, w.constraints);
   ASSERT_GE(all.size(), 3u);
   ASSERT_LE(all.size(), 12u);  // keep the 2^n subset sweep fast
   std::shared_ptr<const DeletionCandidateIndex> index =
       DeletionCandidateIndex::Build(w.constraints, all);
-  EXPECT_EQ(index->num_violations(), all.size());
+  ASSERT_EQ(index->num_violations(), all.size());
 
+  // Ids are positions in the sorted set.
   std::vector<Violation> ordered(all.begin(), all.end());
+  for (uint32_t id = 0; id < ordered.size(); ++id) {
+    EXPECT_EQ(index->violation(id), ordered[id]);
+    EXPECT_EQ(index->mixed_hash(id), HashMix64(ordered[id].Hash()));
+  }
+  std::vector<uint32_t> ids;
+  std::vector<uint64_t> marks;
+  std::vector<Operation> indexed;
   for (size_t mask = 0; mask < (size_t{1} << ordered.size()); ++mask) {
+    ids.clear();
     ViolationSet subset;
-    for (size_t i = 0; i < ordered.size(); ++i) {
-      if (mask & (size_t{1} << i)) subset.insert(ordered[i]);
+    for (uint32_t i = 0; i < ordered.size(); ++i) {
+      if (mask & (size_t{1} << i)) {
+        ids.push_back(i);
+        subset.insert(ordered[i]);
+      }
     }
-    std::vector<Operation> indexed;
-    ASSERT_TRUE(index->AppendFor(subset, &indexed));
+    index->WriteFor(ids, &marks, &indexed);
     EXPECT_EQ(indexed, JustifiedDeletions(w.db, w.constraints, subset));
   }
 }
 
-TEST(DeletionCandidateIndexTest, UnindexedViolationFallsBack) {
-  gen::Workload w = gen::MakeKeyViolationWorkload(2, 2, 2, /*seed=*/1);
+TEST(DeletionCandidateIndexTest, IncidenceListsNameEveryBodyImage) {
+  // Incident(f) is exactly the ascending ids of the violations whose body
+  // image contains f: what one deletion of f removes.
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 3, /*seed=*/5);
   ViolationSet all = ComputeViolations(w.db, w.constraints);
-  ASSERT_GE(all.size(), 2u);
-  // Index only the first violation; asking for both must refuse (the
-  // caller then recomputes from scratch) and leave the output untouched.
-  ViolationSet first_only;
-  first_only.insert(*all.begin());
   std::shared_ptr<const DeletionCandidateIndex> index =
-      DeletionCandidateIndex::Build(w.constraints, first_only);
-  std::vector<Operation> ops;
-  EXPECT_FALSE(index->AppendFor(all, &ops));
-  EXPECT_TRUE(ops.empty());
-  EXPECT_TRUE(index->AppendFor(first_only, &ops));
-  EXPECT_EQ(ops, JustifiedDeletions(w.db, w.constraints, first_only));
+      DeletionCandidateIndex::Build(w.constraints, all);
+  std::vector<FactId> image;
+  for (FactId fact : w.db.AllFactIds()) {
+    std::vector<uint32_t> expected;
+    for (uint32_t id = 0; id < index->num_violations(); ++id) {
+      BodyImageIds(w.constraints, index->violation(id), &image);
+      if (std::find(image.begin(), image.end(), fact) != image.end()) {
+        expected.push_back(id);
+      }
+    }
+    std::span<const uint32_t> incident = index->Incident(fact);
+    EXPECT_EQ(std::vector<uint32_t>(incident.begin(), incident.end()),
+              expected);
+  }
 }
 
 TEST(JustifiedEgdTest, EgdAdmitsOnlyDeletions) {

@@ -5,7 +5,11 @@
 
 #include "constraints/constraint_parser.h"
 #include "gen/workloads.h"
+#include "relational/fact_parser.h"
+#include "repair/justified.h"
 #include "repair/repairing_state.h"
+#include "util/hash.h"
+#include "util/random.h"
 
 namespace opcqa {
 namespace {
@@ -269,6 +273,118 @@ TEST(RepairingStateTest, ApplyTrustedMatchesApply) {
   b.ApplyTrusted(op);
   EXPECT_EQ(a.current(), b.current());
   EXPECT_EQ(a.violations(), b.violations());
+}
+
+// Differential check of the incremental bookkeeping: after every apply and
+// every revert of a seeded random walk, the state must agree with
+// from-scratch references — violations() with ComputeViolations,
+// ValidExtensions() with JustifiedDeletions, and eliminated() /
+// eliminated_hash() with a state replayed from ε without reverts and with
+// the union of V(D_{i-1}) − V(D_i) over that replay.
+using ContextPtr = std::shared_ptr<const RepairContext>;
+
+void ExpectMatchesReference(const ContextPtr& context,
+                            const RepairingState& state) {
+  const ConstraintSet& sigma = context->constraints;
+  ASSERT_EQ(state.violations(), ComputeViolations(state.current(), sigma));
+  ASSERT_EQ(state.ValidExtensions(),
+            JustifiedDeletions(state.current(), sigma, state.violations()));
+  RepairingState replay(context);
+  Database db = context->initial;
+  ViolationSet before = context->initial_violations, eliminated;
+  for (const Operation& op : state.sequence()) {
+    replay.ApplyTrusted(op);
+    op.ApplyTo(&db);
+    ViolationSet after = ComputeViolations(db, sigma);
+    for (const Violation& v : before) {
+      if (after.count(v) == 0) eliminated.insert(v);
+    }
+    before = std::move(after);
+  }
+  size_t eliminated_hash = 0;
+  for (const Violation& v : eliminated) eliminated_hash += HashMix64(v.Hash());
+  ASSERT_TRUE(replay.current() == state.current());
+  ASSERT_EQ(replay.violations(), state.violations());
+  ASSERT_EQ(state.eliminated(), eliminated);
+  ASSERT_EQ(replay.eliminated(), eliminated);
+  ASSERT_EQ(state.eliminated_hash(), eliminated_hash);
+  ASSERT_EQ(replay.eliminated_hash(), eliminated_hash);
+}
+
+void RandomApplyRevertWalk(const gen::Workload& w, uint64_t seed,
+                           size_t moves) {
+  auto context = RepairContext::Make(w.db, w.constraints);
+  ASSERT_NE(context->deletion_index, nullptr);
+  RepairingState state(context);
+  Rng rng(seed);
+  std::vector<Operation> extensions;
+  for (size_t move = 0; move < moves; ++move) {
+    state.ValidExtensions(&extensions);  // one reused buffer, as walks do
+    bool stuck = extensions.empty();
+    if (state.depth() > 0 && (stuck || rng.Bernoulli(0.35))) {
+      state.Revert();
+    } else if (!stuck) {
+      state.ApplyTrusted(extensions[rng.UniformInt(extensions.size())]);
+    } else {
+      break;  // consistent at ε
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " move " << move);
+    ExpectMatchesReference(context, state);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(RepairingStateTest, IndexedBookkeepingMatchesReferenceOnKeyGroups) {
+  for (size_t group_size = 2; group_size <= 4; ++group_size) {
+    gen::Workload w =
+        gen::MakeKeyViolationWorkload(5, 3, group_size, /*seed=*/group_size);
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      RandomApplyRevertWalk(w, seed * 31 + group_size, 120);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(RepairingStateTest, IndexedBookkeepingMatchesReferenceOnThreeAtomDc) {
+  // A triangle DC with three-fact body images (and a shared fact between
+  // two triangles) beside a key EGD on the same relation.
+  Schema schema;
+  schema.AddRelation("E", 2);
+  gen::Workload w;
+  const char* facts = "E(a,b). E(b,c). E(c,a). E(c,d). E(d,a). E(a,c). E(e,f).";
+  const char* sigma =
+      "E(x,y), E(y,z), E(z,x) -> false ; E(x,y), E(x,z) -> y = z";
+  w.db = *ParseDatabase(schema, facts);
+  w.constraints = *ParseConstraints(schema, sigma);
+  ASSERT_GT(ComputeViolations(w.db, w.constraints).size(), 8u);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomApplyRevertWalk(w, seed, 80);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(RepairingStateTest, ForkDropsUndoHistoryButKeepsState) {
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 3, /*seed=*/2);
+  auto context = RepairContext::Make(w.db, w.constraints);
+  RepairingState state(context);
+  state.ApplyTrusted(state.ValidExtensions().front());
+  state.ApplyTrusted(state.ValidExtensions().back());
+  RepairingState fork = state.Fork();
+  EXPECT_TRUE(fork.current() == state.current());
+  EXPECT_EQ(fork.sequence(), state.sequence());
+  EXPECT_EQ(fork.violations(), state.violations());
+  EXPECT_EQ(fork.eliminated(), state.eliminated());
+  EXPECT_EQ(fork.eliminated_hash(), state.eliminated_hash());
+  EXPECT_EQ(fork.ValidExtensions(), state.ValidExtensions());
+  // The fork walks on by itself and unwinds back to its fork point.
+  Database at_fork = fork.Snapshot();
+  ViolationSet eliminated_at_fork = fork.eliminated();
+  fork.ApplyTrusted(fork.ValidExtensions().front());
+  ExpectMatchesReference(context, fork);
+  fork.Revert();
+  EXPECT_TRUE(fork.current() == at_fork);
+  EXPECT_EQ(fork.eliminated(), eliminated_at_fork);
+  EXPECT_EQ(fork.depth(), 2u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -161,6 +163,79 @@ TEST(SamplerTest, WalkStepCountsPolynomialInViolations) {
     EXPECT_LE(walk.steps, 5u);
     EXPECT_GE(walk.steps, 1u);
   }
+}
+
+// Estimates of a fixed (seed, shape) run, pinned bit for bit: the estimate
+// doubles as IEEE-754 bits and the total step count, captured from the
+// value-keyed implementation of the walk step. Any drift in extension
+// order or in RNG consumption changes them.
+struct PinnedEstimate {
+  const char* key;
+  const char* value;
+  uint64_t bits;
+};
+
+void ExpectPinnedRun(size_t keys, size_t violating, size_t group_size,
+                     uint64_t workload_seed, uint64_t seed,
+                     size_t expected_steps,
+                     const std::vector<PinnedEstimate>& expected) {
+  gen::Workload w =
+      gen::MakeKeyViolationWorkload(keys, violating, group_size, workload_seed);
+  UniformChainGenerator gen;
+  Result<Query> q = ParseQuery(*w.schema, "Q(x,y) := R(x,y)");
+  ASSERT_TRUE(q.ok());
+  Sampler sampler(w.db, w.constraints, &gen, seed);
+  ApproxOcaResult result = sampler.EstimateOcaWithWalks(*q, 120);
+  EXPECT_EQ(result.total_steps, expected_steps);
+  EXPECT_EQ(result.successful_walks, 120u);
+  ASSERT_EQ(result.estimates.size(), expected.size());
+  size_t i = 0;
+  for (const auto& [tuple, estimate] : result.estimates) {
+    const PinnedEstimate& pin = expected[i++];
+    EXPECT_EQ(tuple, (Tuple{Const(pin.key), Const(pin.value)}));
+    EXPECT_EQ(std::bit_cast<uint64_t>(estimate), pin.bits)
+        << pin.key << "," << pin.value << " estimate " << estimate;
+  }
+}
+
+TEST(SamplerTest, EstimatesArePinnedForGroupSizeThree) {
+  const std::vector<PinnedEstimate> expected = {
+      {"k0", "v0_0", 0x3fcdddddddddddde},
+      {"k0", "v0_1", 0x3fd2aaaaaaaaaaab},
+      {"k0", "v0_2", 0x3fd2aaaaaaaaaaab},
+      {"k1", "v1_0", 0x3fd6666666666666},
+      {"k1", "v1_1", 0x3fd199999999999a},
+      {"k1", "v1_2", 0x3fd0000000000000},
+      {"k2", "v2_0", 0x3fd199999999999a},
+      {"k2", "v2_1", 0x3fd4444444444444},
+      {"k2", "v2_2", 0x3fd2222222222222},
+      {"k3", "v3_0", 0x3fd1111111111111},
+      {"k3", "v3_1", 0x3fcdddddddddddde},
+      {"k3", "v3_2", 0x3fd6666666666666},
+      {"k4", "v4_0", 0x3ff0000000000000},
+      {"k5", "v5_0", 0x3ff0000000000000},
+  };
+  ExpectPinnedRun(6, 4, 3, /*workload_seed=*/3, /*seed=*/11, 714, expected);
+}
+
+TEST(SamplerTest, EstimatesArePinnedForGroupSizeFour) {
+  const std::vector<PinnedEstimate> expected = {
+      {"k0", "v0_0", 0x3fcccccccccccccd},
+      {"k0", "v0_1", 0x3fc5555555555555},
+      {"k0", "v0_2", 0x3fc4444444444444},
+      {"k0", "v0_3", 0x3fc6666666666666},
+      {"k1", "v1_0", 0x3fc3333333333333},
+      {"k1", "v1_1", 0x3fc8888888888889},
+      {"k1", "v1_2", 0x3fc4444444444444},
+      {"k1", "v1_3", 0x3fc999999999999a},
+      {"k2", "v2_0", 0x3fd0000000000000},
+      {"k2", "v2_1", 0x3fc5555555555555},
+      {"k2", "v2_2", 0x3fc7777777777777},
+      {"k2", "v2_3", 0x3fc6666666666666},
+      {"k3", "v3_0", 0x3ff0000000000000},
+      {"k4", "v4_0", 0x3ff0000000000000},
+  };
+  ExpectPinnedRun(5, 3, 4, /*workload_seed=*/8, /*seed=*/29, 791, expected);
 }
 
 }  // namespace
