@@ -206,8 +206,8 @@ BENCHMARK(BM_DiskWarmStart)
 // since the last spill to the per-root delta log (storage/canonical.h),
 // compacting once the log outgrows log_compaction_ratio of the base.
 // Table growth is anytime enumeration: each step raises the max_states
-// budget, and each budget runs twice so the twice-missed admission
-// filter admits that step's re-reached subtrees. bytes_written is
+// budget and runs it once; the walk admits every subtree it completes
+// within that budget. bytes_written is
 // DiskTierStats::compressed_bytes — every byte the tier wrote in the v2
 // encoding; the >=3x write cut is asserted deterministically in
 // tests/storage_v2_test.cc, this benchmark gates the wall-clock of the
@@ -237,11 +237,9 @@ void BM_DiskDeltaSpill(benchmark::State& state) {
       options.memoize = true;
       options.cache = &cache;
       options.max_states = budget;
-      for (int rep = 0; rep < 2; ++rep) {
-        EnumerationResult result =
-            EnumerateRepairs(w.db, w.constraints, generator, options);
-        benchmark::DoNotOptimize(result);
-      }
+      EnumerationResult result =
+          EnumerateRepairs(w.db, w.constraints, generator, options);
+      benchmark::DoNotOptimize(result);
       cache.Persist();
     }
     DiskTierStats stats = cache.disk_stats();
@@ -506,11 +504,10 @@ void RecordPersistSweep() {
                "n/a (ours)", compression);
   }
   bench::Note("persistent: one RepairSpaceCache across the 8 queries — "
-              "the admission filter (PR 5) defers a subtree until its key "
-              "is seen twice, so query 1 records the re-reached suffixes, "
-              "query 2 admits the chain root, and queries 3..8 replay it "
-              "from the root entry in 1 probe each; answers byte-identical "
-              "to per-call tables (tests/repair_cache_test.cc)");
+              "query 1 walks the chain and admits every completed subtree, "
+              "queries 2..8 replay it from the root entry in 1 probe "
+              "each; answers byte-identical to per-call tables "
+              "(tests/repair_cache_test.cc)");
 }
 
 // Disk-tier warm start sweep (PR 5), appended to the e5_memo_scaling
@@ -576,14 +573,12 @@ void RecordDiskSweep() {
   char counters[200];
   std::snprintf(counters, sizeof(counters),
                 "%llu restore (%llu B read, %zu B snapshot on disk), "
-                "%llu hits / %llu misses, %llu admission deferrals",
+                "%llu hits / %llu misses",
                 static_cast<unsigned long long>(warm_disk.restores),
                 static_cast<unsigned long long>(warm_disk.restore_bytes),
                 snapshot_bytes,
                 static_cast<unsigned long long>(warm_stats.hits),
-                static_cast<unsigned long long>(warm_stats.misses),
-                static_cast<unsigned long long>(
-                    warm_stats.admission_deferred));
+                static_cast<unsigned long long>(warm_stats.misses));
   bench::Row("disk tier counters (warm run)", "n/a (ours)", counters);
   bench::Note("disk tier: cold pays the full chain walks plus one "
               "canonical-snapshot spill; warm restores the snapshot and "
@@ -618,11 +613,9 @@ void RecordDeltaSweep() {
         options.memoize = true;
         options.cache = &cache;
         options.max_states = budget;
-        for (int pass = 0; pass < 2; ++pass) {
-          EnumerationResult result =
-              EnumerateRepairs(w.db, w.constraints, generator, options);
-          benchmark::DoNotOptimize(result);
-        }
+        EnumerationResult result =
+            EnumerateRepairs(w.db, w.constraints, generator, options);
+        benchmark::DoNotOptimize(result);
         cache.Persist();
       }
       double elapsed = timer.ElapsedMs();
@@ -656,9 +649,9 @@ void RecordDeltaSweep() {
                 static_cast<unsigned long long>(stats[1].delta_appends),
                 static_cast<unsigned long long>(stats[1].compactions));
   bench::Row("delta-spill counters", "n/a (ours)", counters);
-  bench::Note("each checkpoint = one anytime enumeration budget run twice "
-              "(the admission filter admits on the second pass) + "
-              "Persist; delta spills append only the entries added since "
+  bench::Note("each checkpoint = one anytime enumeration budget run "
+              "once + Persist; delta spills append only the entries added "
+              "since "
               "the last spill — the >=3x byte cut is asserted "
               "deterministically in tests/storage_v2_test.cc");
 }

@@ -11,7 +11,6 @@ void ExportMemoStats(const MemoStats& stats, MetricsSnapshot* out) {
   c["cache.inserts"] = stats.inserts;
   c["cache.rejected_full"] = stats.rejected_full;
   c["cache.evictions"] = stats.evictions;
-  c["cache.admission_deferred"] = stats.admission_deferred;
   auto& g = out->gauges;
   g["cache.entries"] = static_cast<int64_t>(stats.entries);
   g["cache.bytes"] = static_cast<int64_t>(stats.bytes);

@@ -26,9 +26,22 @@
 // buffer under that buffer's (uncontended) mutex; Collect() merges.
 // Tracing never changes answers — tests/obs_test.cc asserts tracing-on
 // byte-identity.
+//
+// ## Timed scopes
+//
+// Every layer boundary is both a span and a latency histogram:
+// OPCQA_TIMED_SCOPE("layer.op") opens span "layer.op" and times the
+// scope into histogram "layer.op_ms" (obs/metrics.h). The histogram half
+// is always compiled; the span half follows OPCQA_TRACING like
+// OPCQA_TRACE_SPAN.
 
 #ifndef OPCQA_OBS_TRACE_H_
 #define OPCQA_OBS_TRACE_H_
+
+#include "obs/metrics.h"
+
+#define OPCQA_TRACE_CONCAT_INNER(a, b) a##b
+#define OPCQA_TRACE_CONCAT(a, b) OPCQA_TRACE_CONCAT_INNER(a, b)
 
 #ifdef OPCQA_TRACING
 
@@ -153,9 +166,6 @@ class TraceRequestScope {
 }  // namespace obs
 }  // namespace opcqa
 
-#define OPCQA_TRACE_CONCAT_INNER(a, b) a##b
-#define OPCQA_TRACE_CONCAT(a, b) OPCQA_TRACE_CONCAT_INNER(a, b)
-
 /// Opens a span covering the rest of the enclosing scope.
 #define OPCQA_TRACE_SPAN(name)    \
   ::opcqa::obs::TraceSpan OPCQA_TRACE_CONCAT(opcqa_trace_span_, \
@@ -179,5 +189,17 @@ class TraceRequestScope {
   } while (0)
 
 #endif  // OPCQA_TRACING
+
+/// Span `name` plus histogram `name "_ms"` over the rest of the enclosing
+/// scope; `name` must be a string literal. The histogram handle is a
+/// per-site static, so the registry lookup happens once.
+#define OPCQA_TIMED_SCOPE(name)                                        \
+  OPCQA_TRACE_SPAN(name);                                              \
+  static ::opcqa::obs::Histogram* const OPCQA_TRACE_CONCAT(            \
+      opcqa_timed_histogram_, __LINE__) =                              \
+      ::opcqa::obs::MetricsRegistry::Global().GetHistogram(name "_ms"); \
+  ::opcqa::obs::ScopedTimer OPCQA_TRACE_CONCAT(opcqa_timed_scope_,     \
+                                               __LINE__)(              \
+      OPCQA_TRACE_CONCAT(opcqa_timed_histogram_, __LINE__))
 
 #endif  // OPCQA_OBS_TRACE_H_

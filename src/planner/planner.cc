@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/fact_store.h"
 #include "util/string_util.h"
@@ -147,10 +146,7 @@ Result<QueryPlan> QueryPlanner::Plan(const Database& db,
                                      const ConstraintSet& constraints,
                                      const ChainGenerator& generator,
                                      const Query& query) {
-  OPCQA_TRACE_SPAN("planner.plan");
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("planner.plan_ms");
-  obs::ScopedTimer timer(latency);
+  OPCQA_TIMED_SCOPE("planner.plan");
   const Schema& schema = db.schema();
   std::string key =
       StrCat(PlanModeName(mode_), "|", query.ToString(schema), "|",

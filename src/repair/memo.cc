@@ -1,6 +1,7 @@
 #include "repair/memo.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "util/hash.h"
@@ -79,7 +80,6 @@ MemoStats MemoStats::DeltaSince(const MemoStats& earlier) const {
   delta.inserts -= earlier.inserts;
   delta.rejected_full -= earlier.rejected_full;
   delta.evictions -= earlier.evictions;
-  delta.admission_deferred -= earlier.admission_deferred;
   // entries and the byte gauges stay point-in-time values.
   return delta;
 }
@@ -162,26 +162,6 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
   }
   if (collided) collisions_.fetch_add(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (admission_filter_) {
-    // A second miss under the same key is the admission signal: the state
-    // is being re-reached, so the Insert that follows its re-walk will be
-    // admitted. Saturate at 2 — further misses carry no information.
-    size_t combined = key.Combined();
-    auto it = stripe.probation.find(combined);
-    if (it == stripe.probation.end()) {
-      // Full: displace one arbitrary resident instead of clearing — a
-      // wholesale wipe would repeatedly reset every miss count on roots
-      // with more distinct states than the cap, starving admission of
-      // exactly the big instances the cache exists for. Displacement
-      // only ever delays one key's second sighting.
-      if (stripe.probation.size() >= kProbationCap) {
-        stripe.probation.erase(stripe.probation.begin());
-      }
-      stripe.probation.emplace(combined, 1);
-    } else if (it->second < 2) {
-      ++it->second;
-    }
-  }
   return nullptr;
 }
 
@@ -255,18 +235,6 @@ void TranspositionTable::Insert(const StateKey& key,
                                 std::shared_ptr<const MemoOutcome> outcome) {
   Stripe& stripe = StripeFor(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (admission_filter_) {
-    auto it = stripe.probation.find(key.Combined());
-    if (it == stripe.probation.end() || it->second < 2) {
-      // The key has not missed twice: this subtree has only ever been
-      // completed once, so storing it would just feed the eviction sweep.
-      // A declined insert behaves exactly like an immediate eviction —
-      // results stay byte-identical, a re-reach re-walks and re-offers.
-      admission_deferred_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    stripe.probation.erase(it);
-  }
   Entry entry;
   entry.key = key;
   entry.removed.assign(removed.begin(), removed.end());
@@ -292,25 +260,7 @@ void TranspositionTable::ForEach(
     const std::function<void(const std::vector<FactId>& removed,
                              const ViolationSet& eliminated,
                              const MemoOutcome& outcome)>& fn) const {
-  for (const Stripe& stripe : stripes_) {
-    // Copy the stripe's payloads out under the lock, run the (possibly
-    // slow — snapshot serialization) callback outside it, so concurrent
-    // Lookup/Insert wait microseconds, not the whole encode. Outcomes
-    // are immutable shared_ptrs, so the copies stay consistent.
-    std::vector<std::tuple<std::vector<FactId>, ViolationSet,
-                           std::shared_ptr<const MemoOutcome>>>
-        entries;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mutex);
-      entries.reserve(stripe.map.size());
-      for (const auto& [combined, entry] : stripe.map) {
-        entries.emplace_back(entry.removed, entry.eliminated, entry.outcome);
-      }
-    }
-    for (const auto& [removed, eliminated, outcome] : entries) {
-      fn(removed, eliminated, *outcome);
-    }
-  }
+  ForEachSince(0, std::numeric_limits<uint64_t>::max(), fn);
 }
 
 void TranspositionTable::ForEachSince(
@@ -319,6 +269,10 @@ void TranspositionTable::ForEachSince(
                              const ViolationSet& eliminated,
                              const MemoOutcome& outcome)>& fn) const {
   for (const Stripe& stripe : stripes_) {
+    // Copy the stripe's payloads out under the lock, run the (possibly
+    // slow — snapshot serialization) callback outside it, so concurrent
+    // Lookup/Insert wait microseconds, not the whole encode. Outcomes
+    // are immutable shared_ptrs, so the copies stay consistent.
     std::vector<std::tuple<std::vector<FactId>, ViolationSet,
                            std::shared_ptr<const MemoOutcome>>>
         entries;
@@ -347,8 +301,6 @@ MemoStats TranspositionTable::stats() const {
   stats.inserts = inserts_.load(std::memory_order_relaxed);
   stats.rejected_full = rejected_full_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.admission_deferred =
-      admission_deferred_.load(std::memory_order_relaxed);
   stats.entries = entries_.load(std::memory_order_relaxed);
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);

@@ -69,21 +69,6 @@
 // credits. Eviction only ever costs recomputation (a later walk misses
 // and re-records); results stay byte-identical by the replay argument
 // above.
-//
-// ## Admission filter for persistent tables (PR 5)
-//
-// A table that outlives one enumeration (repair/repair_cache.h) fills up
-// with states that were completed once and never reached again — PR 4's
-// sweep then spends its passes churning through them. With the admission
-// filter enabled, an Insert is only admitted once its key has *missed
-// twice*: the first miss parks the key in a small per-stripe probational
-// set (a few bytes instead of a full entry), and only a key that provably
-// re-occurs earns a real entry, at the price of walking its subtree one
-// extra time. Results stay byte-identical — a declined insert is
-// indistinguishable from an eviction. Scratch (per-call) tables never
-// enable the filter, so single-query behavior is exactly PR 4's. Entries
-// restored from a disk snapshot bypass the filter: they already proved
-// their worth in a previous process.
 
 #ifndef OPCQA_REPAIR_MEMO_H_
 #define OPCQA_REPAIR_MEMO_H_
@@ -164,9 +149,6 @@ struct MemoStats {
   uint64_t inserts = 0;
   uint64_t rejected_full = 0;  // inserts too large for any budget
   uint64_t evictions = 0;      // entries removed by the budget sweep
-  /// Inserts declined by the persistent-tier admission filter (the key
-  /// had not missed twice yet). Always 0 on scratch tables.
-  uint64_t admission_deferred = 0;
   size_t entries = 0;
   /// Approximate heap footprint of the live entries (delta-compressed) —
   /// the gauge the byte budget enforces.
@@ -232,31 +214,25 @@ class TranspositionTable {
            std::move(outcome));
   }
 
-  /// Turns on the twice-missed admission filter (see file comment). Call
-  /// before the table is shared across threads — the flag itself is not
-  /// synchronized. Intended for persistent tables only; scratch tables
-  /// keep the always-admit PR-4 behavior.
-  void EnableAdmissionFilter() { admission_filter_ = true; }
-
   /// Inserts an entry reconstructed from a disk snapshot
-  /// (storage/canonical.h): bypasses the admission filter — the entry
-  /// proved its replay value in a previous process — but still competes
-  /// under the budgets. `removed` must be sorted in ascending id order
-  /// (the verification order of Lookup).
+  /// (storage/canonical.h); it competes under the budgets like any
+  /// Insert. `removed` must be sorted in ascending id order (the
+  /// verification order of Lookup).
   void RestoreEntry(const StateKey& key, std::vector<FactId> removed,
                     ViolationSet eliminated,
                     std::shared_ptr<const MemoOutcome> outcome);
 
   /// Invokes `fn` on a point-in-time view of every entry, one stripe at a
   /// time (safe concurrently with Lookup/Insert; entries inserted during
-  /// the sweep may or may not be seen). The spill path of the disk tier.
+  /// the sweep may or may not be seen). The spill path of the disk tier:
+  /// ForEachSince over the whole admission window.
   void ForEach(
       const std::function<void(const std::vector<FactId>& removed,
                                const ViolationSet& eliminated,
                                const MemoOutcome& outcome)>& fn) const;
 
   /// Monotone admission clock: every entry that wins residency (Insert
-  /// past the filter, or RestoreEntry) is stamped with the next tick.
+  /// or RestoreEntry) is stamped with the next tick.
   /// `sequence()` is the newest stamp handed out — the high-water mark a
   /// delta spill captures. Evictions never rewind it, so "nothing new
   /// since sequence S" is exactly "no entry carries a stamp > S".
@@ -302,12 +278,6 @@ class TranspositionTable {
     size_t bytes = 0;
     size_t payload_bytes = 0;
     size_t full_bytes = 0;
-    // Admission filter: Combined() → miss count. Hash-bucket granularity
-    // is deliberate (a collision can only admit early, never corrupt —
-    // Insert still verifies the real sets); bounded by kProbationCap — a
-    // full set displaces one arbitrary resident per new key (never a
-    // wholesale wipe, which would starve admission on large roots).
-    std::unordered_map<size_t, uint8_t> probation;
   };
 
   Stripe& StripeFor(const StateKey& key) {
@@ -329,13 +299,8 @@ class TranspositionTable {
   /// entry, applies the too-big rejection and the eviction sweep.
   void EmplaceEntry(Stripe& stripe, Entry entry);
 
-  /// Probational keys tracked per stripe before the set resets.
-  static constexpr size_t kProbationCap = 4096;
-
   size_t max_entries_;
   size_t max_bytes_;
-  /// Set once before the table is shared (EnableAdmissionFilter).
-  bool admission_filter_ = false;
   std::atomic<size_t> root_facts_{0};
   std::atomic<size_t> num_relations_{0};
   std::atomic<size_t> entries_{0};
@@ -345,7 +310,6 @@ class TranspositionTable {
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> rejected_full_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> admission_deferred_{0};
   /// Admission clock (see sequence()); stamped inside EmplaceEntry.
   std::atomic<uint64_t> sequence_{0};
   Stripe stripes_[kNumStripes];

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/canonical.h"
 #include "util/failpoint.h"
@@ -20,6 +19,16 @@ size_t RootFingerprint(const Database& db, const std::string& digest,
                        const std::string& identity) {
   size_t hash = HashCombine(db.Hash(), std::hash<std::string>{}(digest));
   return HashCombine(hash, std::hash<std::string>{}(identity));
+}
+
+/// Adds the monotone counters of `stats` (hits…evictions) to `total`.
+void AddCounters(const MemoStats& stats, MemoStats* total) {
+  total->hits += stats.hits;
+  total->misses += stats.misses;
+  total->collisions += stats.collisions;
+  total->inserts += stats.inserts;
+  total->rejected_full += stats.rejected_full;
+  total->evictions += stats.evictions;
 }
 
 }  // namespace
@@ -81,10 +90,7 @@ RepairSpaceCache::~RepairSpaceCache() {
 std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     const Database& db, const ConstraintSet& constraints,
     const ChainGenerator& generator) {
-  OPCQA_TRACE_SPAN("cache.probe");
-  static obs::Histogram* const probe_latency =
-      obs::MetricsRegistry::Global().GetHistogram("cache.probe_ms");
-  obs::ScopedTimer timer(probe_latency);
+  OPCQA_TIMED_SCOPE("cache.probe");
   std::string identity = generator.cache_identity();
   if (identity.empty()) return nullptr;  // generator opted out of sharing
   std::string digest = storage::RenderConstraints(db.schema(), constraints);
@@ -118,11 +124,6 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     table = std::make_shared<TranspositionTable>(
         TranspositionTable::kDefaultMaxEntries, options_.max_bytes_per_root);
     table->SetRootShape(db.size(), db.schema().size());
-    // Only persistent tables filter admissions: single-visit subtrees go
-    // through a probational set instead of churning the eviction sweep
-    // (repair/memo.h; scratch tables keep the always-admit behavior).
-    // Serving caches opt out so a batch's first walk admits everything.
-    if (options_.admission_filter) table->EnableAdmissionFilter();
   }
 
   std::vector<Root> victims;
@@ -221,18 +222,21 @@ void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
       }
     }
     if (victim == SIZE_MAX) break;
-    victims->push_back(std::move(roots_[victim]));
-    roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(victim));
+    victims->push_back(RetireLocked(victim));
   }
+}
+
+RepairSpaceCache::Root RepairSpaceCache::RetireLocked(size_t index) {
+  Root root = std::move(roots_[index]);
+  roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(index));
+  AddCounters(root.table->stats(), &retired_);
+  return root;
 }
 
 RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
     const Database& db, const ConstraintSet& constraints,
     const std::string& digest, const std::string& identity) {
-  OPCQA_TRACE_SPAN("cache.restore");
-  static obs::Histogram* const restore_latency =
-      obs::MetricsRegistry::Global().GetHistogram("cache.restore_ms");
-  obs::ScopedTimer timer(restore_latency);
+  OPCQA_TIMED_SCOPE("cache.restore");
   RestoredDisk out;
   if (!DiskTierAvailable()) return out;  // breaker open: memory-only
   storage::SnapshotIdentity expected;
@@ -291,7 +295,6 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
       if (!applied.clean_tail) out.dirty_tail = true;
     }
   }
-  if (options_.admission_filter) out.table->EnableAdmissionFilter();
   return out;
 }
 
@@ -350,10 +353,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
       // query paths. Scoped: the unlock must happen BEFORE the pending
       // decrement below, after which the cache may be destroyed.
       std::lock_guard<std::mutex> io_lock(spill_io_mutex_);
-      OPCQA_TRACE_SPAN("cache.spill");
-      static obs::Histogram* const spill_latency =
-          obs::MetricsRegistry::Global().GetHistogram("cache.spill_ms");
-      obs::ScopedTimer timer(spill_latency);
+      OPCQA_TIMED_SCOPE("cache.spill");
       storage::SnapshotIdentity ident;
       ident.db_text = db.ToString();
       ident.constraints_digest = digest;
@@ -549,7 +549,7 @@ size_t RepairSpaceCache::InvalidateDatabase(const Database& db) {
   size_t dropped = 0;
   for (size_t i = roots_.size(); i-- > 0;) {
     if (roots_[i].db_hash == db.Hash() && roots_[i].db == db) {
-      roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
+      RetireLocked(i);
       ++dropped;
     }
   }
@@ -561,7 +561,7 @@ size_t RepairSpaceCache::InvalidateDatabaseHash(size_t db_hash) {
   size_t dropped = 0;
   for (size_t i = roots_.size(); i-- > 0;) {
     if (roots_[i].db_hash == db_hash) {
-      roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
+      RetireLocked(i);
       ++dropped;
     }
   }
@@ -570,7 +570,7 @@ size_t RepairSpaceCache::InvalidateDatabaseHash(size_t db_hash) {
 
 void RepairSpaceCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  roots_.clear();
+  while (!roots_.empty()) RetireLocked(roots_.size() - 1);
 }
 
 size_t RepairSpaceCache::roots() const {
@@ -580,21 +580,16 @@ size_t RepairSpaceCache::roots() const {
 
 MemoStats RepairSpaceCache::TotalStats() const {
   std::vector<std::shared_ptr<TranspositionTable>> tables;
+  MemoStats total;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tables.reserve(roots_.size());
     for (const Root& root : roots_) tables.push_back(root.table);
+    total = retired_;
   }
-  MemoStats total;
   for (const auto& table : tables) {
     MemoStats stats = table->stats();
-    total.hits += stats.hits;
-    total.misses += stats.misses;
-    total.collisions += stats.collisions;
-    total.inserts += stats.inserts;
-    total.rejected_full += stats.rejected_full;
-    total.evictions += stats.evictions;
-    total.admission_deferred += stats.admission_deferred;
+    AddCounters(stats, &total);
     total.entries += stats.entries;
     total.bytes += stats.bytes;
     total.payload_bytes += stats.payload_bytes;

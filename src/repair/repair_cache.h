@@ -113,14 +113,6 @@ struct RepairCacheOptions {
   /// Overflow demotes the lowest-retention-score root early, before the
   /// max_roots limit would.
   size_t max_memory_bytes = 0;
-  /// Persistent tables normally require a key to miss twice before its
-  /// subtree is recorded (the PR-5 churn filter for disk-backed sweeps).
-  /// A serving front end that batches many same-root requests behind one
-  /// walk turns this off, so the first walk admits the whole chain and
-  /// every later request in the batch replays from the root entry
-  /// (results are byte-identical either way; only hit/insert patterns
-  /// and sweep churn differ).
-  bool admission_filter = true;
   /// Disk-tier circuit breaker: after this many *consecutive*
   /// restore/spill failures the tier disables itself for
   /// breaker_cooldown_ms and the cache runs memory-only (loudly),
@@ -233,7 +225,9 @@ class RepairSpaceCache {
   void Clear();
 
   size_t roots() const;
-  /// Aggregated counters over all live roots.
+  /// Aggregated counters: the monotone ones (hits…evictions) over every
+  /// root this cache has held — a dropped root's are kept as of its drop
+  /// — and the gauges (entries, bytes…) over the live roots only.
   MemoStats TotalStats() const;
 
  private:
@@ -328,12 +322,18 @@ class RepairSpaceCache {
   /// until both the root-count and max_memory_bytes budgets fit.
   /// Requires mutex_; callers spill the victims after unlocking.
   void CollectDemotionsLocked(std::vector<Root>* victims);
+  /// Erases roots_[index], folding its table's monotone counters into
+  /// retired_ first. Requires mutex_.
+  Root RetireLocked(size_t index);
 
   RepairCacheOptions options_;
   std::unique_ptr<storage::SnapshotStore> store_;  // null without disk tier
   mutable std::mutex mutex_;
   uint64_t tick_ = 0;
   std::vector<Root> roots_;
+  /// Monotone counters of the roots dropped from roots_ (demoted,
+  /// invalidated, cleared), so TotalStats never runs backwards.
+  MemoStats retired_;
 
   // Disk-tier counters + in-flight spill tracking (independent of mutex_
   // so a slow spill never blocks TableFor).

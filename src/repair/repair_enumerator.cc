@@ -7,7 +7,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "repair/repair_cache.h"
 #include "util/logging.h"
@@ -520,10 +519,7 @@ EnumerationResult EnumerateRepairs(const Database& db,
                                    const ConstraintSet& constraints,
                                    const ChainGenerator& generator,
                                    const EnumerationOptions& options) {
-  OPCQA_TRACE_SPAN("engine.enumerate");
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("engine.enumerate_ms");
-  obs::ScopedTimer timer(latency);
+  OPCQA_TIMED_SCOPE("engine.enumerate");
   auto context = RepairContext::Make(db, constraints);
   RepairingState root(context);
   std::shared_ptr<TranspositionTable> memo;
@@ -534,8 +530,8 @@ EnumerationResult EnumerateRepairs(const Database& db,
       memo = options.cache->TableFor(db, constraints, generator);
     }
     if (memo == nullptr) {
-      memo = std::make_shared<TranspositionTable>(options.memo_max_entries,
-                                                  options.memo_max_bytes);
+      memo = std::make_shared<TranspositionTable>(
+          TranspositionTable::kDefaultMaxEntries, options.memo_max_bytes);
       memo->SetRootShape(db.size(), db.schema().size());
     }
   }

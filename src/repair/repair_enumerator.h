@@ -50,11 +50,10 @@ struct EnumerationOptions {
   /// to the unmemoized enumeration either way — including truncation and
   /// every counter — for every thread count.
   bool memoize = false;
-  /// Entry budget for the transposition table; exceeding it triggers the
-  /// cost-aware eviction sweep (repair/memo.h) — cheap-to-recompute
-  /// entries go first, results stay byte-identical.
-  size_t memo_max_entries = TranspositionTable::kDefaultMaxEntries;
-  /// Byte budget for the transposition table (0 = no byte budget).
+  /// Byte budget for the transposition table (0 = no byte budget; the
+  /// entry budget is TranspositionTable::kDefaultMaxEntries). Exceeding
+  /// either triggers the cost-aware eviction sweep (repair/memo.h) —
+  /// cheap-to-recompute entries go first, results stay byte-identical.
   size_t memo_max_bytes = 0;
   /// Cross-query persistence (repair/repair_cache.h): when set (and
   /// memoize is on and applicable), the enumeration asks this cache for

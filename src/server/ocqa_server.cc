@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -210,11 +209,6 @@ Response ExecuteOnSession(engine::OcqaSession& session,
 
 namespace {
 
-RepairCacheOptions SharedCacheOptions(RepairCacheOptions options) {
-  options.admission_filter = false;  // batching: the first walk admits all
-  return options;
-}
-
 bool IsMutation(const Request& request) {
   return request.kind == RequestKind::kInsert ||
          request.kind == RequestKind::kErase;
@@ -227,7 +221,7 @@ OcqaServer::OcqaServer(Database base, ConstraintSet constraints,
     : options_(options),
       constraints_(std::move(constraints)),
       base_(std::move(base)),
-      cache_(SharedCacheOptions(options.cache)),
+      cache_(options.cache),
       pool_(std::make_unique<ThreadPool>(
           options.workers != 0 ? options.workers : DefaultThreads())) {
   RegisterGenerator("uniform", std::make_shared<UniformChainGenerator>());
@@ -451,10 +445,7 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
   }
 
   {
-    OPCQA_TRACE_SPAN("server.unit");
-    static obs::Histogram* const unit_latency =
-        obs::MetricsRegistry::Global().GetHistogram("server.unit_ms");
-    obs::ScopedTimer unit_timer(unit_latency);
+    OPCQA_TIMED_SCOPE("server.unit");
     std::lock_guard<std::mutex> session_lock(tenant->session_mutex);
     engine::OcqaSession& session = *tenant->session;
     const bool read_batch = !IsMutation(unit->front().request);
@@ -476,10 +467,7 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         // coverage gate (span sum vs server.request_ms sum) holds by
         // construction. Both record during unwind on the panic path too.
         OPCQA_TRACE_REQUEST(pending.request.id, pending.request.tenant);
-        OPCQA_TRACE_SPAN("server.request");
-        static obs::Histogram* const request_latency =
-            obs::MetricsRegistry::Global().GetHistogram("server.request_ms");
-        obs::ScopedTimer request_timer(request_latency);
+        OPCQA_TIMED_SCOPE("server.request");
         if (!IsMutation(pending.request)) OPCQA_FAILPOINT_HIT("server.unit");
         return ExecuteOnSession(session, generator.get(), pending.request,
                                 call, outcome);
@@ -540,7 +528,6 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
       if (any_walk_member && !resident && pressured) {
         RepairCacheOptions ephemeral = options_.cache;
         ephemeral.max_roots = 1;
-        ephemeral.admission_filter = false;
         ephemeral.snapshot_dir.clear();  // nothing durable about a bypass
         bypass = std::make_unique<RepairSpaceCache>(ephemeral);
         pressure_bypasses_.fetch_add(1, std::memory_order_relaxed);

@@ -28,9 +28,9 @@
 // (between two mutations the tenant's database is fixed, so same
 // generator ⇒ same root fingerprint), the server pulls the whole
 // same-generator read prefix into one unit: the first member walks the
-// chain cold and — with the cache's twice-miss admission filter off —
-// records every completed subtree, so each later member collapses to a
-// root-entry replay. One memoized walk amortizes across the batch.
+// chain cold and records every completed subtree (every table admits on
+// insert), so each later member collapses to a root-entry replay. One
+// memoized walk amortizes across the batch.
 // Reads commute (they share one immutable database state), so executing
 // the prefix out of queue order is observationally equivalent; a
 // mutation is a batch barrier and runs as a singleton unit, which also
@@ -109,9 +109,7 @@ struct ServerOptions {
   /// owns its pool, so several servers with different widths coexist in
   /// one process.
   size_t workers = 0;
-  /// Budgets of the shared repair-space cache. The twice-miss admission
-  /// filter is forced off regardless of what this says: batching relies
-  /// on the first walk admitting the whole chain.
+  /// Budgets of the shared repair-space cache.
   RepairCacheOptions cache;
   /// Per-tenant session defaults (threads, memoize, base max_states).
   EnumerationOptions enumeration;

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -32,6 +31,10 @@ constexpr char kTempPrefix[] = ".tmp-";
 /// A temp file older than this is a crashed writer's leftover, not an
 /// in-flight spill, and may be swept by any process.
 constexpr std::chrono::hours kTempMaxAge{1};
+/// Extra attempts after a failed Put; the backoff before retry k is
+/// kRetryBackoffMs << (k - 1).
+constexpr int kPutRetries = 2;
+constexpr uint64_t kRetryBackoffMs = 1;
 
 /// True for a committed (non-dot-prefixed) file name ending in `suffix`.
 bool HasStoreSuffix(const std::string& name, const char* suffix,
@@ -151,21 +154,16 @@ Status SnapshotStore::PutAttemptLocked(uint64_t fingerprint,
 }
 
 Status SnapshotStore::Put(uint64_t fingerprint, const std::string& bytes) {
-  OPCQA_TRACE_SPAN("storage.put");
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("storage.put_ms");
-  obs::ScopedTimer timer(latency);
+  OPCQA_TIMED_SCOPE("storage.put");
   std::lock_guard<std::mutex> lock(mutex_);
   Status last;
   for (int attempt = 0;; ++attempt) {
     last = PutAttemptLocked(fingerprint, bytes);
     if (last.ok()) break;
-    if (attempt >= options_.put_retries) return last;
+    if (attempt >= kPutRetries) return last;
     ++stats_.put_retries;
-    uint64_t backoff_ms = options_.retry_backoff_ms << attempt;
-    if (backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    }
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(kRetryBackoffMs << attempt));
   }
   // Fresh bytes supersede any corruption history for this root.
   corrupt_strikes_.erase(fingerprint);
@@ -178,10 +176,7 @@ Status SnapshotStore::Put(uint64_t fingerprint, const std::string& bytes) {
 Status SnapshotStore::AppendDelta(uint64_t fingerprint,
                                   const std::string& head,
                                   const std::string& record) {
-  OPCQA_TRACE_SPAN("storage.append");
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("storage.append_ms");
-  obs::ScopedTimer timer(latency);
+  OPCQA_TIMED_SCOPE("storage.append");
   std::lock_guard<std::mutex> lock(mutex_);
   if (quarantined_.count(fingerprint) != 0) {
     return Status::Internal("root quarantined: " + LogFileName(fingerprint));
@@ -273,10 +268,7 @@ size_t SnapshotStore::LogBytes(uint64_t fingerprint) const {
 }
 
 Result<std::string> SnapshotStore::Get(uint64_t fingerprint) const {
-  OPCQA_TRACE_SPAN("storage.get");
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("storage.get_ms");
-  obs::ScopedTimer timer(latency);
+  OPCQA_TIMED_SCOPE("storage.get");
   std::lock_guard<std::mutex> lock(mutex_);
   if (quarantined_.count(fingerprint) != 0) {
     return Status::NotFound("snapshot quarantined: " + FileName(fingerprint));
@@ -375,10 +367,7 @@ void SnapshotStore::SweepStaleTempsLocked() {
 
 void SnapshotStore::GarbageCollectLocked(const std::string& keep_stem) {
   if (options_.max_disk_bytes == 0) return;
-  OPCQA_TRACE_SPAN("storage.gc");
-  static obs::Histogram* const latency =
-      obs::MetricsRegistry::Global().GetHistogram("storage.gc_ms");
-  obs::ScopedTimer timer(latency);
+  OPCQA_TIMED_SCOPE("storage.gc");
   // The unit of accounting and deletion is the *root*: its base snapshot
   // plus its delta log. Deleting only the base would orphan a log (dead
   // bytes no future Put reclaims), and a log that escaped the byte count

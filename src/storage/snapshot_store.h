@@ -13,8 +13,8 @@
 //     snapshot or the complete new one, never a torn write. A crash mid-
 //     spill leaves only a temp file, which the stale-temp sweep removes.
 //   * Bounded retry. Transient write/fsync/rename failures are retried
-//     `put_retries` times with exponential backoff, each attempt with a
-//     fresh temp file — a busy disk costs latency, not a lost spill.
+//     twice with exponential backoff (1 ms, then 2 ms), each attempt with
+//     a fresh temp file — a busy disk costs latency, not a lost spill.
 //   * Quarantine. A snapshot the caller reports corrupt twice (via
 //     MarkCorrupt) is moved to `<directory>/quarantine/` and its
 //     fingerprint is never probed again until a fresh Put replaces it —
@@ -63,10 +63,6 @@ struct SnapshotStoreOptions {
   /// Byte budget for the directory; 0 disables GC. Enforced oldest-first
   /// after every Put, never deleting the file just written.
   size_t max_disk_bytes = 0;
-  /// Extra attempts after a failed write/rename (0 = fail fast).
-  int put_retries = 2;
-  /// Backoff before retry k is retry_backoff_ms << (k - 1).
-  uint64_t retry_backoff_ms = 1;
 };
 
 /// Counters for the hardening paths; plumbed into DiskTierStats by the

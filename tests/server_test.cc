@@ -159,14 +159,66 @@ TEST(OcqaServerTest, SameRootRequestsBatchBehindOneWalk) {
 
   // t0's first request formed its own unit (the tenant was idle); the
   // remaining kSameRoot-1 queued behind it and formed ONE batch. The
-  // first walk admits the whole chain (admission filter off), so every
-  // batch member is a pure root-entry replay: 2 walks total (gate root +
-  // t0 root), never one per request.
+  // first walk admits the whole chain, so every batch member is a pure
+  // root-entry replay: 2 walks total (gate root + t0 root), never one
+  // per request.
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.walks, 2u);
   EXPECT_EQ(stats.replays, kSameRoot - 1);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.batched_requests, kSameRoot - 1);
+}
+
+TEST(OcqaServerTest, SessionAndServerRecordTheSameMemoDeltas) {
+  // Sessions and the server run one cache policy: a read sequence served
+  // one request at a time by a one-worker server probes, records and
+  // replays exactly what a session does, call for call.
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/13);
+  const std::vector<std::string> queries = {
+      "Q(x,y) := R(x,y)", "Q(x) := exists y: R(x,y)",
+      "Q(y) := exists x: R(x,y)", "Q(x,y) := R(x,y)"};
+
+  engine::OcqaSession session(w.db, w.constraints);
+  DeletionOnlyUniformGenerator generator;
+  std::vector<MemoStats> session_deltas;
+  for (const std::string& text : queries) {
+    OcaResult result =
+        session.Answer(generator, MustParseQuery(*w.schema, text));
+    session_deltas.push_back(result.enumeration.memo_stats);
+  }
+
+  ServerOptions options;
+  options.workers = 1;
+  OcqaServer server(w.db, w.constraints, options);
+  std::vector<MemoStats> server_deltas;
+  MemoStats before = server.Stats().cache;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Response response =
+        server.Submit(ReadRequest(i + 1, "t", w, queries[i])).get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    MemoStats after = server.Stats().cache;
+    server_deltas.push_back(after.DeltaSince(before));
+    before = after;
+  }
+
+  ASSERT_EQ(session_deltas.size(), server_deltas.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(session_deltas[i].hits, server_deltas[i].hits) << i;
+    EXPECT_EQ(session_deltas[i].misses, server_deltas[i].misses) << i;
+    EXPECT_EQ(session_deltas[i].collisions, server_deltas[i].collisions)
+        << i;
+    EXPECT_EQ(session_deltas[i].inserts, server_deltas[i].inserts) << i;
+    EXPECT_EQ(session_deltas[i].evictions, server_deltas[i].evictions)
+        << i;
+    EXPECT_EQ(session_deltas[i].entries, server_deltas[i].entries) << i;
+  }
+  // The first call walked and recorded; every later one replayed the
+  // chain from the root entry.
+  EXPECT_GT(server_deltas[0].inserts, 0u);
+  for (size_t i = 1; i < queries.size(); ++i) {
+    EXPECT_EQ(server_deltas[i].hits, 1u) << i;
+    EXPECT_EQ(server_deltas[i].misses, 0u) << i;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -3,8 +3,8 @@
 // answers, a genuine fresh-process warm start (fork + exec), rejection of
 // corrupt/truncated/unsupported-version snapshots (including a committed
 // format-v1 fixture) with cold-compute fallback, disk GC under
-// max_disk_bytes, spill-on-LRU-eviction, the twice-missed admission
-// filter, the hardening paths (bounded Put retry, two-strike quarantine,
+// max_disk_bytes, spill-on-LRU-eviction, the hardening paths (bounded
+// Put retry, two-strike quarantine,
 // crashed-writer temp sweep, disk-tier circuit breaker trip + recovery),
 // and a concurrent spill-while-querying run (TSan-gated in CI).
 
@@ -128,13 +128,11 @@ void ExpectSameDistribution(const EnumerationResult& result,
   }
 }
 
-/// Runs the PR-4-style cold phase: two enumerations (the admission filter
-/// records subtrees once their keys have been seen twice, so the second
-/// pass admits the chain-root entry), then spills to `dir`.
+/// Runs the cold phase: one enumeration (it admits every completed
+/// subtree, the chain-root entry included), then spills to `dir`.
 void WarmDiskTier(const gen::Workload& w, const ChainGenerator& generator,
                   const std::string& dir) {
   RepairSpaceCache cache(DiskOptions(dir));
-  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   cache.Persist();
   ASSERT_GE(cache.disk_stats().spills, 1u);
@@ -168,7 +166,6 @@ TEST(StorageSnapshotTest, WarmStartFromDiskIsByteIdenticalAndSkipsWalks) {
   {
     RepairSpaceCache cache(DiskOptions(dir.path()));
     EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
-    EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
     cold_entries = cache.TotalStats().entries;
     // Destruction spills (session close) — no explicit Persist() needed.
   }
@@ -194,7 +191,6 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
   UniformChainGenerator generator;
   RepairSpaceCache cache;  // memory-only: source of a persistent table
-  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   std::shared_ptr<TranspositionTable> table =
       cache.TableFor(w.db, w.constraints, generator);
@@ -333,9 +329,6 @@ class StorageRejectionTest : public ::testing::Test {
       EXPECT_EQ(disk.rejected_snapshots, 1u);
       EXPECT_GT(result.memo_stats.misses, 0u);  // genuinely walked cold
       ExpectSameDistribution(result, base_);
-      // A second pass admits the chain-root entry before the spill.
-      EnumerateRepairs(w_.db, w_.constraints, generator_,
-                       MemoOptions(&cache));
       cache.Persist();
     }
     EXPECT_EQ(VersionByte(), storage::kSnapshotFormatVersion);
@@ -477,10 +470,8 @@ TEST(StorageSnapshotTest, LruRootEvictionSpillsToDisk) {
     RepairCacheOptions options = DiskOptions(dir.path());
     options.max_roots = 1;
     RepairSpaceCache cache(options);
-    // Warm the first root (two passes admit its chain-root entry), then
+    // Warm the first root (its walk admits the chain-root entry), then
     // querying a second database evicts it — the spill must preserve it.
-    EnumerateRepairs(first.db, first.constraints, generator,
-                     MemoOptions(&cache));
     EnumerateRepairs(first.db, first.constraints, generator,
                      MemoOptions(&cache));
     EnumerateRepairs(second.db, second.constraints, generator,
@@ -498,45 +489,6 @@ TEST(StorageSnapshotTest, LruRootEvictionSpillsToDisk) {
 }
 
 // ---------------------------------------------------------------------
-// Admission filter (persistent tables only)
-// ---------------------------------------------------------------------
-
-TEST(AdmissionFilterTest, RecordsOnlyTwiceMissedKeys) {
-  StateKey key{11, 22};
-  std::set<FactId> removed;
-  ViolationSet eliminated;
-  auto outcome = std::make_shared<MemoOutcome>();
-  outcome->states = 5;
-
-  TranspositionTable filtered;
-  filtered.EnableAdmissionFilter();
-  // First completion (one prior miss, as in a real walk): deferred.
-  EXPECT_EQ(filtered.Lookup(key, removed, eliminated), nullptr);
-  filtered.Insert(key, removed, eliminated, outcome);
-  EXPECT_EQ(filtered.size(), 0u);
-  EXPECT_EQ(filtered.stats().admission_deferred, 1u);
-  // Second reach: the key has now missed twice — admitted.
-  EXPECT_EQ(filtered.Lookup(key, removed, eliminated), nullptr);
-  filtered.Insert(key, removed, eliminated, outcome);
-  EXPECT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered.Lookup(key, removed, eliminated), outcome);
-
-  // Scratch tables admit immediately — the PR-4 behavior is untouched.
-  TranspositionTable scratch;
-  scratch.Insert(key, removed, eliminated, outcome);
-  EXPECT_EQ(scratch.size(), 1u);
-  EXPECT_EQ(scratch.stats().admission_deferred, 0u);
-
-  // Disk-restored entries bypass the filter: they proved their replay
-  // value in a previous process.
-  TranspositionTable restored;
-  restored.EnableAdmissionFilter();
-  restored.RestoreEntry(key, {}, {}, outcome);
-  EXPECT_EQ(restored.size(), 1u);
-  EXPECT_EQ(restored.Lookup(key, removed, eliminated), outcome);
-}
-
-// ---------------------------------------------------------------------
 // Hardening: retry, quarantine, crashed-writer sweep, circuit breaker
 // ---------------------------------------------------------------------
 
@@ -545,8 +497,6 @@ TEST(StorageHardeningTest, PutRetriesBeforeFailingCleanly) {
   // A path that can never become a directory: every attempt fails the
   // same way, so an exhausted Put surfaces the error instead of aborting.
   options.directory = "/dev/null/opcqa-retry";
-  options.put_retries = 2;
-  options.retry_backoff_ms = 0;
   storage::SnapshotStore store(options);
   Status put = store.Put(1, "bytes");
   EXPECT_FALSE(put.ok());
@@ -629,7 +579,6 @@ TEST(StorageHardeningTest, BreakerTripsToMemoryOnlyAfterRepeatedFailures) {
   options.breaker_cooldown_ms = 60000;  // stays open for the whole test
   RepairSpaceCache cache(options);
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
-  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
 
   // First spill fails on the unwritable tier (after the store's bounded
   // retries) and trips the breaker.
@@ -660,7 +609,6 @@ TEST(StorageHardeningTest, BreakerRecoversAfterCooldown) {
   options.breaker_failure_threshold = 1;
   options.breaker_cooldown_ms = 30;
   RepairSpaceCache cache(options);
-  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
   cache.Persist();
   ASSERT_EQ(cache.disk_stats().breaker_trips, 1u);

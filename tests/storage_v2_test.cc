@@ -115,21 +115,19 @@ fs::path LogPathFor(const gen::Workload& w, const ChainGenerator& generator,
                                  IdentityFor(w, generator)));
 }
 
-/// A table warmed with two full enumerations of `w`: the twice-missed
-/// admission filter admits every subtree (including the chain-root
-/// entry) on the second pass.
+/// A table warmed with one full enumeration of `w`: every completed
+/// subtree, the chain-root entry included, is admitted on insert.
 std::shared_ptr<TranspositionTable> WarmTable(const gen::Workload& w,
                                               const ChainGenerator& generator,
                                               RepairSpaceCache* cache) {
-  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(cache));
   EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(cache));
   return cache->TableFor(w.db, w.constraints, generator);
 }
 
 /// Stamps `count` synthetic entries into `table`, each removing a
 /// distinct nonempty subset of the root's facts (the bits of a running
-/// counter over the first six fact ids). RestoreEntry bypasses the
-/// admission filter, so each call dirties the table's sequence clock by
+/// counter over the first six fact ids). Each RestoreEntry stamps one
+/// admission, so each call dirties the table's sequence clock by
 /// exactly one — precise, deterministic spill traffic for the delta-log
 /// tests. The entries' keys can never collide with a real walk's states
 /// (their removed sets differ), so real lookups never see them; tests
@@ -210,13 +208,13 @@ TEST(DeltaSpillTest, WarmStartReplaysBasePlusDeltaLog) {
     // Never compact: the appended record must survive to the restore.
     options.log_compaction_ratio = 1e9;
     RepairSpaceCache cache(options);
-    // Pass 1 defers every insert (the twice-missed filter), so this
-    // spill publishes an *empty* base and arms the delta path.
-    EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
+    // Spilling the root before any walk publishes an *empty* base and
+    // arms the delta path.
+    ASSERT_NE(cache.TableFor(w.db, w.constraints, generator), nullptr);
     cache.Persist();
     ASSERT_EQ(cache.disk_stats().spills, 1u);
     ASSERT_EQ(cache.disk_stats().delta_appends, 0u);
-    // Pass 2 admits the whole chain; this spill must append one record
+    // The walk admits the whole chain; this spill must append one record
     // carrying every entry instead of rewriting the base.
     EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
     cache.Persist();
