@@ -29,21 +29,6 @@ OcaResult OcqaSession::Answer(const ChainGenerator& generator,
   return ComputeOca(db_, constraints_, generator, query, QueryOptions(call));
 }
 
-Rational OcqaSession::TupleProbability(const ChainGenerator& generator,
-                                       const Query& query,
-                                       const Tuple& tuple) {
-  return ComputeTupleProbability(db_, constraints_, generator, query, tuple,
-                                 QueryOptions({}));
-}
-
-CountingOcaResult OcqaSession::Count(const ChainGenerator& generator,
-                                     const Query& query,
-                                     const CallOptions& call) {
-  CountingOptions counting;
-  counting.enumeration = QueryOptions(call);
-  return CountingOca(db_, constraints_, generator, query, counting);
-}
-
 EnumerationResult OcqaSession::Enumerate(const ChainGenerator& generator,
                                          const CallOptions& call) {
   OPCQA_FAILPOINT_HIT("engine.session.enumerate");

@@ -30,7 +30,6 @@
 #include <cstdint>
 
 #include "planner/planner.h"
-#include "repair/counting.h"
 #include "repair/ocqa.h"
 #include "repair/repair_cache.h"
 #include "repair/top_k.h"
@@ -50,7 +49,7 @@ struct SessionOptions {
   /// Backend dispatch for CertainAnswers(): kAuto classifies each query
   /// (planner/planner.h) and uses the FO rewriting where it provably
   /// matches the walk; kWalk forces the chain walk; kRewrite errors on
-  /// out-of-fragment queries. Distribution-level APIs (Answer, Count,
+  /// out-of-fragment queries. Distribution-level APIs (Answer,
   /// Enumerate, TopK) always walk — only certainty has a rewriting.
   planner::PlanMode plan = planner::PlanMode::kAuto;
   /// Externally-owned cache this session multiplexes over instead of its
@@ -96,12 +95,6 @@ class OcqaSession {
   /// Exact OCA (repair/ocqa.h) under this session's cache.
   OcaResult Answer(const ChainGenerator& generator, const Query& query,
                    const CallOptions& call = {});
-  /// Exact CP of a single tuple.
-  Rational TupleProbability(const ChainGenerator& generator,
-                            const Query& query, const Tuple& tuple);
-  /// Counting (equally-likely-repairs) semantics under the cache.
-  CountingOcaResult Count(const ChainGenerator& generator,
-                          const Query& query, const CallOptions& call = {});
   /// Full repair distribution under the cache.
   EnumerationResult Enumerate(const ChainGenerator& generator,
                               const CallOptions& call = {});

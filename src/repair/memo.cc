@@ -1,8 +1,6 @@
 #include "repair/memo.h"
 
 #include <algorithm>
-#include <limits>
-#include <tuple>
 
 #include "util/hash.h"
 
@@ -84,6 +82,20 @@ MemoStats MemoStats::DeltaSince(const MemoStats& earlier) const {
   return delta;
 }
 
+MemoStats& MemoStats::operator+=(const MemoStats& other) {
+  hits += other.hits;
+  misses += other.misses;
+  collisions += other.collisions;
+  inserts += other.inserts;
+  rejected_full += other.rejected_full;
+  evictions += other.evictions;
+  entries += other.entries;
+  bytes += other.bytes;
+  payload_bytes += other.payload_bytes;
+  full_payload_bytes += other.full_payload_bytes;
+  return *this;
+}
+
 TranspositionTable::TranspositionTable(size_t max_entries, size_t max_bytes)
     : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
@@ -154,14 +166,14 @@ std::shared_ptr<const MemoOutcome> TranspositionTable::Lookup(
     Entry& entry = it->second;
     if (entry.key == key && RemovedEquals(entry.removed, removed) &&
         entry.eliminated == eliminated) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++stripe.stats.hits;
       entry.chances = CostTier(*entry.outcome);  // second chance refresh
       return entry.outcome;
     }
     collided = true;
   }
-  if (collided) collisions_.fetch_add(1, std::memory_order_relaxed);
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  if (collided) ++stripe.stats.collisions;
+  ++stripe.stats.misses;
   return nullptr;
 }
 
@@ -171,7 +183,7 @@ void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {
       max_bytes_ == 0 ? 0 : std::max<size_t>(1, max_bytes_ / kNumStripes);
   auto over_budget = [&]() {
     if (stripe.map.size() > stripe_max_entries) return true;
-    return stripe_max_bytes != 0 && stripe.bytes > stripe_max_bytes;
+    return stripe_max_bytes != 0 && stripe.stats.bytes > stripe_max_bytes;
   };
   // CLOCK-style sweep: zero-credit entries go, the rest pay one credit
   // per pass. Terminates because every full pass either evicts or
@@ -182,12 +194,12 @@ void TranspositionTable::EvictUntilWithinBudget(Stripe& stripe) {
          it != stripe.map.end() && over_budget();) {
       Entry& entry = it->second;
       if (entry.chances == 0) {
-        stripe.bytes -= entry.entry_bytes;
-        stripe.payload_bytes -= entry.payload_bytes;
-        stripe.full_bytes -= entry.full_bytes;
+        stripe.stats.bytes -= entry.entry_bytes;
+        stripe.stats.payload_bytes -= entry.payload_bytes;
+        stripe.stats.full_payload_bytes -= entry.full_bytes;
         it = stripe.map.erase(it);
-        entries_.fetch_sub(1, std::memory_order_relaxed);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+        --stripe.stats.entries;
+        ++stripe.stats.evictions;
       } else {
         if (entry.chances > 0) --entry.chances;
         ++it;
@@ -216,16 +228,16 @@ void TranspositionTable::EmplaceEntry(Stripe& stripe, Entry entry) {
   if (stripe_max_bytes != 0 && entry.entry_bytes > stripe_max_bytes) {
     // The entry alone overflows its stripe's byte share: storing it would
     // just thrash the sweep. Count it as dropped.
-    rejected_full_.fetch_add(1, std::memory_order_relaxed);
+    ++stripe.stats.rejected_full;
     return;
   }
-  stripe.bytes += entry.entry_bytes;
-  stripe.payload_bytes += entry.payload_bytes;
-  stripe.full_bytes += entry.full_bytes;
+  stripe.stats.bytes += entry.entry_bytes;
+  stripe.stats.payload_bytes += entry.payload_bytes;
+  stripe.stats.full_payload_bytes += entry.full_bytes;
   size_t combined = entry.key.Combined();
   stripe.map.emplace(combined, std::move(entry));
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  ++stripe.stats.entries;
+  ++stripe.stats.inserts;
   EvictUntilWithinBudget(stripe);
 }
 
@@ -257,56 +269,29 @@ void TranspositionTable::RestoreEntry(
 }
 
 void TranspositionTable::ForEach(
-    const std::function<void(const std::vector<FactId>& removed,
-                             const ViolationSet& eliminated,
-                             const MemoOutcome& outcome)>& fn) const {
-  ForEachSince(0, std::numeric_limits<uint64_t>::max(), fn);
-}
-
-void TranspositionTable::ForEachSince(
-    uint64_t since, uint64_t upto,
-    const std::function<void(const std::vector<FactId>& removed,
-                             const ViolationSet& eliminated,
-                             const MemoOutcome& outcome)>& fn) const {
+    const std::function<void(const EntryView&)>& fn, uint64_t since,
+    uint64_t upto) const {
   for (const Stripe& stripe : stripes_) {
     // Copy the stripe's payloads out under the lock, run the (possibly
     // slow — snapshot serialization) callback outside it, so concurrent
-    // Lookup/Insert wait microseconds, not the whole encode. Outcomes
-    // are immutable shared_ptrs, so the copies stay consistent.
-    std::vector<std::tuple<std::vector<FactId>, ViolationSet,
-                           std::shared_ptr<const MemoOutcome>>>
-        entries;
+    // Lookup/Insert wait microseconds, not the whole encode.
+    std::vector<EntryView> entries;
     {
       std::lock_guard<std::mutex> lock(stripe.mutex);
       for (const auto& [combined, entry] : stripe.map) {
         if (entry.sequence <= since || entry.sequence > upto) continue;
-        entries.emplace_back(entry.removed, entry.eliminated, entry.outcome);
+        entries.push_back({entry.removed, entry.eliminated, entry.outcome});
       }
     }
-    for (const auto& [removed, eliminated, outcome] : entries) {
-      fn(removed, eliminated, *outcome);
-    }
+    for (const EntryView& entry : entries) fn(entry);
   }
-}
-
-size_t TranspositionTable::size() const {
-  return entries_.load(std::memory_order_relaxed);
 }
 
 MemoStats TranspositionTable::stats() const {
   MemoStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.collisions = collisions_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.rejected_full = rejected_full_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.entries = entries_.load(std::memory_order_relaxed);
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    stats.bytes += stripe.bytes;
-    stats.payload_bytes += stripe.payload_bytes;
-    stats.full_payload_bytes += stripe.full_bytes;
+    stats += stripe.stats;
   }
   return stats;
 }

@@ -75,6 +75,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -165,6 +166,9 @@ struct MemoStats {
   /// Counters accrued since `earlier` (monotone fields diffed, gauges
   /// kept) — the per-call view over a persistent shared table.
   MemoStats DeltaSince(const MemoStats& earlier) const;
+  /// Adds every field, counters and gauges alike — the one aggregation
+  /// of stripes into a table and of tables into a cache.
+  MemoStats& operator+=(const MemoStats& other);
 };
 
 /// Striped-lock transposition table: StateKey → verified MemoOutcome.
@@ -222,15 +226,6 @@ class TranspositionTable {
                     ViolationSet eliminated,
                     std::shared_ptr<const MemoOutcome> outcome);
 
-  /// Invokes `fn` on a point-in-time view of every entry, one stripe at a
-  /// time (safe concurrently with Lookup/Insert; entries inserted during
-  /// the sweep may or may not be seen). The spill path of the disk tier:
-  /// ForEachSince over the whole admission window.
-  void ForEach(
-      const std::function<void(const std::vector<FactId>& removed,
-                               const ViolationSet& eliminated,
-                               const MemoOutcome& outcome)>& fn) const;
-
   /// Monotone admission clock: every entry that wins residency (Insert
   /// or RestoreEntry) is stamped with the next tick.
   /// `sequence()` is the newest stamp handed out — the high-water mark a
@@ -240,20 +235,30 @@ class TranspositionTable {
     return sequence_.load(std::memory_order_relaxed);
   }
 
-  /// ForEach restricted to entries stamped in (since, upto] — the
-  /// still-resident entries admitted after a previous spill captured
-  /// `since` and before this spill captured `upto = sequence()`. Entries
-  /// admitted mid-sweep carry stamps > upto and are excluded, so the view
-  /// is a consistent delta even under concurrent inserts. An entry both
-  /// admitted and evicted inside the window is simply absent (sound: the
-  /// disk tier only ever under-remembers, never mis-remembers).
-  void ForEachSince(
-      uint64_t since, uint64_t upto,
-      const std::function<void(const std::vector<FactId>& removed,
-                               const ViolationSet& eliminated,
-                               const MemoOutcome& outcome)>& fn) const;
+  /// A copy of one resident entry's verification payloads; the outcome
+  /// is shared (outcomes are immutable once published).
+  struct EntryView {
+    std::vector<FactId> removed;
+    ViolationSet eliminated;
+    std::shared_ptr<const MemoOutcome> outcome;
+  };
+  /// Invokes `fn` on a copy of every still-resident entry stamped in
+  /// (since, upto], one stripe at a time: a stripe's entries are copied
+  /// under its lock and handed to `fn` after it is released, so this is
+  /// safe concurrently with Lookup/Insert — the spill path of the disk
+  /// tier. The defaults take every entry (a full snapshot); a delta spill
+  /// passes the `since` a previous spill captured and the `upto =
+  /// sequence()` it captures now. Entries admitted mid-sweep carry stamps
+  /// > upto and are excluded, so the view is a consistent delta even
+  /// under concurrent inserts. An entry both admitted and evicted inside
+  /// the window is simply absent (sound: the disk tier only ever
+  /// under-remembers, never mis-remembers). Order: stripe iteration
+  /// order, which depends on insertion history.
+  void ForEach(const std::function<void(const EntryView&)>& fn,
+               uint64_t since = 0,
+               uint64_t upto = std::numeric_limits<uint64_t>::max()) const;
 
-  size_t size() const;
+  /// Sums the stripes' stats, each read under its stripe lock.
   MemoStats stats() const;
 
  private:
@@ -265,7 +270,7 @@ class TranspositionTable {
     /// Second-chance credits: decremented by the eviction sweep, evicted
     /// at zero, refreshed to the cost tier on every verified hit.
     uint8_t chances = 0;
-    /// Admission stamp from sequence_ (see ForEachSince).
+    /// Admission stamp from sequence_ (see ForEach).
     uint64_t sequence = 0;
     size_t entry_bytes = 0;    // cached EntryBytes(*this)
     size_t payload_bytes = 0;  // cached delta-payload share of entry_bytes
@@ -275,9 +280,9 @@ class TranspositionTable {
     mutable std::mutex mutex;
     // Combined() → entries; same-bucket entries disambiguated by payload.
     std::unordered_multimap<size_t, Entry> map;
-    size_t bytes = 0;
-    size_t payload_bytes = 0;
-    size_t full_bytes = 0;
+    /// This stripe's share of stats() — counters and gauges — guarded by
+    /// `mutex`, which every Lookup/Insert that bumps it already holds.
+    MemoStats stats;
   };
 
   Stripe& StripeFor(const StateKey& key) {
@@ -303,14 +308,8 @@ class TranspositionTable {
   size_t max_bytes_;
   std::atomic<size_t> root_facts_{0};
   std::atomic<size_t> num_relations_{0};
-  std::atomic<size_t> entries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> collisions_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> rejected_full_{0};
-  std::atomic<uint64_t> evictions_{0};
-  /// Admission clock (see sequence()); stamped inside EmplaceEntry.
+  /// Admission clock (see sequence()); stamped inside EmplaceEntry. Atomic,
+  /// not per stripe: one clock orders admissions across every stripe.
   std::atomic<uint64_t> sequence_{0};
   Stripe stripes_[kNumStripes];
 };

@@ -9,7 +9,6 @@
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace opcqa {
 
@@ -19,16 +18,6 @@ size_t RootFingerprint(const Database& db, const std::string& digest,
                        const std::string& identity) {
   size_t hash = HashCombine(db.Hash(), std::hash<std::string>{}(digest));
   return HashCombine(hash, std::hash<std::string>{}(identity));
-}
-
-/// Adds the monotone counters of `stats` (hits…evictions) to `total`.
-void AddCounters(const MemoStats& stats, MemoStats* total) {
-  total->hits += stats.hits;
-  total->misses += stats.misses;
-  total->collisions += stats.collisions;
-  total->inserts += stats.inserts;
-  total->rejected_full += stats.rejected_full;
-  total->evictions += stats.evictions;
 }
 
 }  // namespace
@@ -45,17 +34,18 @@ RepairSpaceCache::RepairSpaceCache(RepairCacheOptions options)
 
 bool RepairSpaceCache::DiskTierAvailable() {
   if (options_.breaker_failure_threshold <= 0) return true;
-  std::lock_guard<std::mutex> lock(breaker_mutex_);
+  std::lock_guard<std::mutex> lock(disk_mutex_);
   if (std::chrono::steady_clock::now() < breaker_open_until_) {
-    breaker_skips_.fetch_add(1, std::memory_order_relaxed);
+    ++disk_.breaker_skips;
     return false;
   }
   return true;
 }
 
-void RepairSpaceCache::NoteDiskFailure() {
+void RepairSpaceCache::NoteDiskFailure(const DiskCount& count) {
+  std::lock_guard<std::mutex> lock(disk_mutex_);
+  count(disk_);
   if (options_.breaker_failure_threshold <= 0) return;
-  std::lock_guard<std::mutex> lock(breaker_mutex_);
   ++consecutive_disk_failures_;
   auto now = std::chrono::steady_clock::now();
   // Don't re-trip while already open (in-flight tasks may still report
@@ -65,7 +55,7 @@ void RepairSpaceCache::NoteDiskFailure() {
       now >= breaker_open_until_) {
     breaker_open_until_ =
         now + std::chrono::milliseconds(options_.breaker_cooldown_ms);
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+    ++disk_.breaker_trips;
     OPCQA_LOG(Warning) << "disk tier circuit breaker tripped after "
                        << consecutive_disk_failures_
                        << " consecutive failures; running memory-only for "
@@ -73,9 +63,9 @@ void RepairSpaceCache::NoteDiskFailure() {
   }
 }
 
-void RepairSpaceCache::NoteDiskSuccess() {
-  if (options_.breaker_failure_threshold <= 0) return;
-  std::lock_guard<std::mutex> lock(breaker_mutex_);
+void RepairSpaceCache::NoteDiskSuccess(const DiskCount& count) {
+  std::lock_guard<std::mutex> lock(disk_mutex_);
+  if (count) count(disk_);
   consecutive_disk_failures_ = 0;
 }
 
@@ -84,7 +74,7 @@ RepairSpaceCache::~RepairSpaceCache() {
   // LRU eviction and explicit Persist), then waits so no background task
   // outlives the store it writes through.
   if (store_ != nullptr) Persist();
-  DrainSpills();
+  spills_.Wait();
 }
 
 std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
@@ -135,11 +125,6 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     if (std::shared_ptr<TranspositionTable> resident = find_live()) {
       return resident;
     }
-    if (restored.table != nullptr) {
-      restores_.fetch_add(1, std::memory_order_relaxed);
-      restore_bytes_.fetch_add(restored.bytes, std::memory_order_relaxed);
-      promotions_.fetch_add(1, std::memory_order_relaxed);
-    }
     Root root;
     root.fingerprint = fingerprint;
     root.db_hash = db.Hash();
@@ -166,10 +151,16 @@ std::shared_ptr<TranspositionTable> RepairSpaceCache::TableFor(
     CollectDemotionsLocked(&victims);
   }
   if (store_ != nullptr) {
-    for (Root& victim : victims) {
-      demotions_.fetch_add(1, std::memory_order_relaxed);
-      SpillAsync(std::move(victim));
+    {
+      std::lock_guard<std::mutex> lock(disk_mutex_);
+      if (restored.table != nullptr) {
+        ++disk_.restores;
+        disk_.restore_bytes += restored.bytes;
+        ++disk_.promotions;
+      }
+      disk_.demotions += victims.size();
     }
+    for (Root& victim : victims) SpillAsync(std::move(victim));
   }
   return table;
 }
@@ -229,7 +220,11 @@ void RepairSpaceCache::CollectDemotionsLocked(std::vector<Root>* victims) {
 RepairSpaceCache::Root RepairSpaceCache::RetireLocked(size_t index) {
   Root root = std::move(roots_[index]);
   roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(index));
-  AddCounters(root.table->stats(), &retired_);
+  MemoStats counters = root.table->stats();
+  // Only the monotone counters outlive the root; gauges are live-only.
+  counters.entries = counters.bytes = 0;
+  counters.payload_bytes = counters.full_payload_bytes = 0;
+  retired_ += counters;
   return root;
 }
 
@@ -252,8 +247,7 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
     // Absent snapshot = plain cold miss; an unreadable one counts as
     // rejected (and still just means cold compute).
     if (bytes.status().code() != StatusCode::kNotFound) {
-      rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
-      NoteDiskFailure();
+      NoteDiskFailure([](DiskTierStats& disk) { ++disk.rejected_snapshots; });
     }
     return out;
   }
@@ -262,12 +256,11 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
                               TranspositionTable::kDefaultMaxEntries,
                               options_.max_bytes_per_root);
   if (!decoded.ok()) {
-    rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
     // Verification failure, not tier unavailability — but a second
     // strike quarantines the bytes so the miss path stops re-decoding
     // them (the store then answers NotFound, a clean cold miss).
     store_->MarkCorrupt(fingerprint);
-    NoteDiskFailure();
+    NoteDiskFailure([](DiskTierStats& disk) { ++disk.rejected_snapshots; });
     return out;
   }
   NoteDiskSuccess();
@@ -287,7 +280,10 @@ RepairSpaceCache::RestoredDisk RepairSpaceCache::RestoreFromDisk(
                                                constraints, out.table.get(),
                                                &applied);
     if (!log_status.ok()) {
-      rejected_snapshots_.fetch_add(1, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(disk_mutex_);
+        ++disk_.rejected_snapshots;
+      }
       out.dirty_tail = true;  // compact the dead log away on next spill
     } else {
       out.log_bytes = log->size();
@@ -338,9 +334,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
     // and the next spill trigger retries once the tier recovers.
     if (!skip && !DiskTierAvailable()) skip = true;
     if (skip) {
-      std::lock_guard<std::mutex> lock(spill_mutex_);
-      --pending_spills_;
-      spill_cv_.notify_all();
+      spills_.Done();
       return;
     }
     {
@@ -350,8 +344,8 @@ void RepairSpaceCache::SpillAsync(Root root) {
       // leave a stale snapshot behind a newer mark (which would make the
       // final close-time spill skip real entries). Spills are rare
       // (demotion / Persist / close), so the serialization never touches
-      // query paths. Scoped: the unlock must happen BEFORE the pending
-      // decrement below, after which the cache may be destroyed.
+      // query paths. Scoped: the unlock must happen BEFORE spills_.Done()
+      // below, after which the cache may be destroyed.
       std::lock_guard<std::mutex> io_lock(spill_io_mutex_);
       OPCQA_TIMED_SCOPE("cache.spill");
       storage::SnapshotIdentity ident;
@@ -403,10 +397,10 @@ void RepairSpaceCache::SpillAsync(Root root) {
           Status appended = store_->AppendDelta(
               fingerprint, storage::EncodeDeltaLogHead(ident), record);
           if (appended.ok()) {
-            NoteDiskSuccess();
-            delta_appends_.fetch_add(1, std::memory_order_relaxed);
-            compressed_bytes_.fetch_add(record.size(),
-                                        std::memory_order_relaxed);
+            NoteDiskSuccess([&](DiskTierStats& disk) {
+              ++disk.delta_appends;
+              disk.compressed_bytes += record.size();
+            });
             size_t on_disk_log = store_->LogBytes(fingerprint);
             mark_live([&](Root& live) {
               live.spilled_through_seq = std::max(live.spilled_through_seq,
@@ -419,8 +413,7 @@ void RepairSpaceCache::SpillAsync(Root root) {
             // (valid-prefix), but appending after a torn record would
             // bury live records behind garbage — so the next spill must
             // rewrite the base.
-            failed_spills_.fetch_add(1, std::memory_order_relaxed);
-            NoteDiskFailure();
+            NoteDiskFailure([](DiskTierStats& disk) { ++disk.failed_spills; });
             mark_live([](Root& live) { live.force_compaction = true; });
             delta_done = true;  // don't double-fail into a Put this round
           }
@@ -441,14 +434,12 @@ void RepairSpaceCache::SpillAsync(Root root) {
           // between the two leaves base + stale log — whose records are
           // still true for this identity, merely redundant.
           store_->DeleteLog(fingerprint);
-          NoteDiskSuccess();
-          spills_.fetch_add(1, std::memory_order_relaxed);
-          spill_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
-          compressed_bytes_.fetch_add(bytes.size(),
-                                      std::memory_order_relaxed);
-          if (compacting) {
-            compactions_.fetch_add(1, std::memory_order_relaxed);
-          }
+          NoteDiskSuccess([&](DiskTierStats& disk) {
+            ++disk.spills;
+            disk.spill_bytes += bytes.size();
+            disk.compressed_bytes += bytes.size();
+            if (compacting) ++disk.compactions;
+          });
           mark_live([&](Root& live) {
             live.base_on_disk = true;
             live.spilled_through_seq = std::max(live.spilled_through_seq,
@@ -463,39 +454,20 @@ void RepairSpaceCache::SpillAsync(Root root) {
           // dirty" from "every spill failing". A failed compaction
           // leaves the previous base (and log) untouched on disk —
           // Put is atomic and DeleteLog was never reached.
-          failed_spills_.fetch_add(1, std::memory_order_relaxed);
-          NoteDiskFailure();
+          NoteDiskFailure([](DiskTierStats& disk) { ++disk.failed_spills; });
         }
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(spill_mutex_);
-      --pending_spills_;
-      // Notify under the lock: a drain-then-destroy caller may tear the
-      // condvar down the instant the predicate holds.
-      spill_cv_.notify_all();
-    }
+    spills_.Done();
   };
+  spills_.Add();
   if (ThreadPool::OnWorkerThread()) {
     // Already on the pool: run inline instead of risking a starvation
-    // deadlock between the enqueued spill and a DrainSpills() above us.
-    {
-      std::lock_guard<std::mutex> lock(spill_mutex_);
-      ++pending_spills_;
-    }
+    // deadlock between the enqueued spill and a spills_.Wait() above us.
     task();
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(spill_mutex_);
-    ++pending_spills_;
-  }
   ThreadPool::Global().Submit(std::move(task));
-}
-
-void RepairSpaceCache::DrainSpills() {
-  std::unique_lock<std::mutex> lock(spill_mutex_);
-  spill_cv_.wait(lock, [this] { return pending_spills_ == 0; });
 }
 
 void RepairSpaceCache::Persist() {
@@ -516,25 +488,15 @@ void RepairSpaceCache::Persist() {
   }
   // One copy per root total: the copies above are moved into the tasks.
   for (Root& root : snapshot_roots) SpillAsync(std::move(root));
-  DrainSpills();
+  spills_.Wait();
 }
 
 DiskTierStats RepairSpaceCache::disk_stats() const {
   DiskTierStats stats;
-  stats.spills = spills_.load(std::memory_order_relaxed);
-  stats.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
-  stats.restores = restores_.load(std::memory_order_relaxed);
-  stats.restore_bytes = restore_bytes_.load(std::memory_order_relaxed);
-  stats.rejected_snapshots =
-      rejected_snapshots_.load(std::memory_order_relaxed);
-  stats.failed_spills = failed_spills_.load(std::memory_order_relaxed);
-  stats.delta_appends = delta_appends_.load(std::memory_order_relaxed);
-  stats.compactions = compactions_.load(std::memory_order_relaxed);
-  stats.compressed_bytes = compressed_bytes_.load(std::memory_order_relaxed);
-  stats.promotions = promotions_.load(std::memory_order_relaxed);
-  stats.demotions = demotions_.load(std::memory_order_relaxed);
-  stats.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
-  stats.breaker_skips = breaker_skips_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(disk_mutex_);
+    stats = disk_;
+  }
   if (store_ != nullptr) {
     storage::SnapshotStoreStats store_stats = store_->Stats();
     stats.quarantined = store_stats.quarantined;
@@ -542,18 +504,6 @@ DiskTierStats RepairSpaceCache::disk_stats() const {
     stats.swept_temps = store_stats.swept_temps;
   }
   return stats;
-}
-
-size_t RepairSpaceCache::InvalidateDatabase(const Database& db) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t dropped = 0;
-  for (size_t i = roots_.size(); i-- > 0;) {
-    if (roots_[i].db_hash == db.Hash() && roots_[i].db == db) {
-      RetireLocked(i);
-      ++dropped;
-    }
-  }
-  return dropped;
 }
 
 size_t RepairSpaceCache::InvalidateDatabaseHash(size_t db_hash) {
@@ -579,22 +529,9 @@ size_t RepairSpaceCache::roots() const {
 }
 
 MemoStats RepairSpaceCache::TotalStats() const {
-  std::vector<std::shared_ptr<TranspositionTable>> tables;
-  MemoStats total;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tables.reserve(roots_.size());
-    for (const Root& root : roots_) tables.push_back(root.table);
-    total = retired_;
-  }
-  for (const auto& table : tables) {
-    MemoStats stats = table->stats();
-    AddCounters(stats, &total);
-    total.entries += stats.entries;
-    total.bytes += stats.bytes;
-    total.payload_bytes += stats.payload_bytes;
-    total.full_payload_bytes += stats.full_payload_bytes;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  MemoStats total = retired_;
+  for (const Root& root : roots_) total += root.table->stats();
   return total;
 }
 

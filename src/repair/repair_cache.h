@@ -20,7 +20,7 @@
 // identity-string equality) before a table is handed out, so a 64-bit
 // collision can create a fresh root, never a wrong hit. Mutating a
 // database changes its hash: subsequent queries simply fingerprint to a
-// new root. InvalidateDatabase additionally drops the superseded roots
+// new root. InvalidateDatabaseHash additionally drops the superseded roots
 // eagerly so their memory is reclaimed before the LRU would get to them.
 //
 // ## Generator identity
@@ -54,7 +54,7 @@
 //
 //   * Delta spills. Once a root's base snapshot exists, a spill appends
 //     only the entries stamped since the last spill (the memo's
-//     admission-sequence clock, TranspositionTable::ForEachSince) as one
+//     admission-sequence clock, TranspositionTable::Entries) as one
 //     CRC-framed record to the root's delta log, instead of rewriting
 //     the whole base. The log compacts back into a fresh base once it
 //     outgrows `log_compaction_ratio` of the base (and after any append
@@ -73,10 +73,9 @@
 #ifndef OPCQA_REPAIR_REPAIR_CACHE_H_
 #define OPCQA_REPAIR_REPAIR_CACHE_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -84,6 +83,7 @@
 
 #include "repair/memo.h"
 #include "storage/snapshot_store.h"
+#include "util/parallel.h"
 
 namespace opcqa {
 
@@ -209,17 +209,12 @@ class RepairSpaceCache {
   DiskTierStats disk_stats() const;
 
   /// Eagerly drops every root built over a database with this content
-  /// (by hash, then verified). Pass the database *as its roots saw it* —
-  /// i.e. call BEFORE mutating it in place, or keep a pre-mutation copy:
-  /// a post-mutation instance hashes differently and matches nothing.
-  /// (Staleness needs no invalidation at all — a mutated database
-  /// fingerprints to a new root — this only reclaims memory early.)
+  /// hash — the post-mutation recipe: capture db.Hash() before mutating,
+  /// then drop the old roots by that hash (what engine::OcqaSession
+  /// does). Staleness needs no invalidation at all — a mutated database
+  /// fingerprints to a new root — this only reclaims memory early; a
+  /// colliding innocent root costs recomputation, never correctness.
   /// Returns the number of roots dropped.
-  size_t InvalidateDatabase(const Database& db);
-  /// Same, by hash only — the post-mutation recipe: capture db.Hash()
-  /// before mutating, then drop the old roots by that hash (what
-  /// engine::OcqaSession does). A colliding innocent root costs
-  /// recomputation, never correctness.
   size_t InvalidateDatabaseHash(size_t db_hash);
 
   void Clear();
@@ -299,18 +294,19 @@ class RepairSpaceCache {
   /// without mutex_ held: on a pool worker the task runs inline and
   /// itself acquires mutex_ to mark the root clean.
   void SpillAsync(Root root);
-  /// Blocks until every enqueued spill has completed.
-  void DrainSpills();
 
+  /// Applies `count` to the disk-tier counters under disk_mutex_.
+  using DiskCount = std::function<void(DiskTierStats&)>;
   /// Circuit breaker: true when the disk tier may be used right now
   /// (closed, or half-open after the cooldown). Counts a skip when
   /// false.
   bool DiskTierAvailable();
-  /// Records a restore/spill failure; trips the breaker at the
-  /// configured threshold of consecutive failures.
-  void NoteDiskFailure();
-  /// Any successful disk interaction closes the breaker's failure run.
-  void NoteDiskSuccess();
+  /// Records a restore/spill failure, counted by `count`; trips the
+  /// breaker at the configured threshold of consecutive failures.
+  void NoteDiskFailure(const DiskCount& count);
+  /// Records a successful disk interaction, counted by `count` when
+  /// given; closes the breaker's failure run.
+  void NoteDiskSuccess(const DiskCount& count = {});
 
   /// The unified residency cost model: what dropping this root now costs
   /// per tick it has sat idle. Clean-on-disk roots lose only a cheap
@@ -335,33 +331,21 @@ class RepairSpaceCache {
   /// invalidated, cleared), so TotalStats never runs backwards.
   MemoStats retired_;
 
-  // Disk-tier counters + in-flight spill tracking (independent of mutex_
-  // so a slow spill never blocks TableFor).
-  std::atomic<uint64_t> spills_{0};
-  std::atomic<uint64_t> spill_bytes_{0};
-  std::atomic<uint64_t> restores_{0};
-  std::atomic<uint64_t> restore_bytes_{0};
-  std::atomic<uint64_t> rejected_snapshots_{0};
-  std::atomic<uint64_t> failed_spills_{0};
-  std::atomic<uint64_t> delta_appends_{0};
-  std::atomic<uint64_t> compactions_{0};
-  std::atomic<uint64_t> compressed_bytes_{0};
-  std::atomic<uint64_t> promotions_{0};
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> breaker_trips_{0};
-  std::atomic<uint64_t> breaker_skips_{0};
-  /// Breaker state (separate from mutex_: spill tasks touch it and must
-  /// never contend with TableFor's root scan).
-  std::mutex breaker_mutex_;
+  /// Disk-tier counters and breaker state. Separate from mutex_ and never
+  /// nested with it: spill tasks touch them and must never contend with
+  /// TableFor's root scan. The store's own counters (quarantined,
+  /// put_retries, swept_temps) stay in the store and are read there.
+  mutable std::mutex disk_mutex_;
+  DiskTierStats disk_;
   int consecutive_disk_failures_ = 0;
   std::chrono::steady_clock::time_point breaker_open_until_{};
   /// Serializes the encode→Put→clean-mark sequence of each spill task so
   /// concurrent spills of one root cannot publish out of order (a stale
   /// snapshot behind a newer clean mark).
   std::mutex spill_io_mutex_;
-  std::mutex spill_mutex_;
-  std::condition_variable spill_cv_;
-  size_t pending_spills_ = 0;
+  /// In-flight spill tasks; Done() is each task's last touch of the cache,
+  /// so a Wait() may be followed by destruction.
+  TaskGroup spills_;
 };
 
 }  // namespace opcqa

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "repair/counting.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -270,19 +271,19 @@ Response OcqaServer::ShedResponse(const Request& request) {
 }
 
 std::future<Response> OcqaServer::Submit(Request request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   std::promise<Response> promise;
   std::future<Response> future = promise.get_future();
   std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.submitted;
   if (shutting_down_) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.shed;
     promise.set_value(ShedResponse(request));
     return future;
   }
   Tenant& tenant = TenantFor(request.tenant);
   if (tenant.in_flight >= tenant.options.max_in_flight) {
-    rejected_admission_.fetch_add(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.rejected_admission;
+    ++stats_.shed;
     Response rejected;
     rejected.id = request.id;
     rejected.tenant = request.tenant;
@@ -318,57 +319,49 @@ std::vector<Response> OcqaServer::SubmitAll(std::vector<Request> requests) {
 
 void OcqaServer::Drain() { inflight_units_.Wait(); }
 
-bool OcqaServer::AllIdleLocked() const {
-  for (const auto& entry : tenants_) {
-    if (entry.second->busy || !entry.second->queue.empty()) return false;
-  }
-  return true;
-}
-
 void OcqaServer::Shutdown(std::chrono::milliseconds deadline) {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;  // Submit() now answers Unavailable
-    // Drain phase: units keep executing and pumping while we wait.
-    bool drained = drained_cv_.wait_for(lock, deadline,
-                                        [this] { return AllIdleLocked(); });
-    if (!drained) {
-      // Deadline passed with work still queued: every queued-but-
-      // unstarted request gets an Unavailable response — shed, not
-      // dropped. Running units are past shedding and finish below.
-      size_t shed_count = 0;
-      for (auto& entry : tenants_) {
-        Tenant& tenant = *entry.second;
-        while (!tenant.queue.empty()) {
-          PendingRequest pending = std::move(tenant.queue.front());
-          tenant.queue.pop_front();
+  }
+  // Drain phase: units keep executing and pumping while we wait. No new
+  // unit can appear once every one has finished: admission is closed.
+  if (!inflight_units_.WaitFor(deadline)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Deadline passed with work still queued: every queued-but-
+    // unstarted request gets an Unavailable response — shed, not
+    // dropped. Running units are past shedding and finish below.
+    const uint64_t shed_before = stats_.shed;
+    for (auto& entry : tenants_) {
+      Tenant& tenant = *entry.second;
+      while (!tenant.queue.empty()) {
+        PendingRequest pending = std::move(tenant.queue.front());
+        tenant.queue.pop_front();
+        OPCQA_CHECK_GE(tenant.in_flight, 1u);
+        --tenant.in_flight;
+        ++stats_.shed;
+        pending.promise.set_value(ShedResponse(pending.request));
+      }
+      // A unit handed to the pool but not yet picked up by a worker is
+      // equally unstarted — and with every worker occupied it might
+      // only start after the very callers this Shutdown is blocking.
+      // Resolve its requests now; the worker later finds the empty
+      // husk and just releases the slot (ExecuteUnit's entry check).
+      if (tenant.scheduled != nullptr) {
+        for (PendingRequest& pending : *tenant.scheduled) {
           OPCQA_CHECK_GE(tenant.in_flight, 1u);
           --tenant.in_flight;
-          shed_.fetch_add(1, std::memory_order_relaxed);
-          ++shed_count;
+          ++stats_.shed;
           pending.promise.set_value(ShedResponse(pending.request));
         }
-        // A unit handed to the pool but not yet picked up by a worker is
-        // equally unstarted — and with every worker occupied it might
-        // only start after the very callers this Shutdown is blocking.
-        // Resolve its requests now; the worker later finds the empty
-        // husk and just releases the slot (ExecuteUnit's entry check).
-        if (tenant.scheduled != nullptr) {
-          for (PendingRequest& pending : *tenant.scheduled) {
-            OPCQA_CHECK_GE(tenant.in_flight, 1u);
-            --tenant.in_flight;
-            shed_.fetch_add(1, std::memory_order_relaxed);
-            ++shed_count;
-            pending.promise.set_value(ShedResponse(pending.request));
-          }
-          tenant.scheduled->clear();
-          tenant.scheduled.reset();
-        }
+        tenant.scheduled->clear();
+        tenant.scheduled.reset();
       }
-      if (shed_count > 0) {
-        OPCQA_LOG(Warning) << "shutdown deadline passed; shed " << shed_count
-                           << " queued request(s) with Unavailable";
-      }
+    }
+    if (stats_.shed > shed_before) {
+      OPCQA_LOG(Warning) << "shutdown deadline passed; shed "
+                         << stats_.shed - shed_before
+                         << " queued request(s) with Unavailable";
     }
   }
   // Units already on workers run to completion — their callers get real
@@ -412,56 +405,43 @@ OcqaServer::Unit OcqaServer::NextUnitLocked(Tenant& tenant) {
   return unit;
 }
 
-const ChainGenerator* OcqaServer::FindGenerator(
-    const std::string& name) const {
-  auto it = generators_.find(name);
-  return it == generators_.end() ? nullptr : it->second.get();
-}
-
 void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
-  // Resolve the unit's generator before touching the session: mutex_ and
-  // session_mutex are only ever nested mutex_-first (Stats), so taking
-  // mutex_ under session_mutex here could deadlock.
   std::shared_ptr<const ChainGenerator> generator;
+  size_t tenant_deadline_states = 0;
+  bool read_batch = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Started: from here on Shutdown's deadline pass can't shed us.
+    // Started: from here on Shutdown's deadline pass can't shed us. An
+    // empty unit is one Shutdown shed before any worker picked it up: its
+    // promises are resolved and its requests uncounted from in_flight, so
+    // only the tenant slot is left to release below.
     if (tenant->scheduled == unit) tenant->scheduled.reset();
-    if (unit->empty()) {
-      // Shutdown shed the whole unit before any worker picked it up —
-      // its promises are already resolved and its requests already
-      // uncounted from in_flight. Release the tenant slot and the unit.
-      tenant->busy = false;
-      PumpLocked();
-      if (AllIdleLocked()) drained_cv_.notify_all();
-    } else {
+    if (!unit->empty()) {
       auto it = generators_.find(unit->front().request.generator);
       if (it != generators_.end()) generator = it->second;
+      tenant_deadline_states = tenant->options.deadline_states;
+      read_batch = !IsMutation(unit->front().request);
+      if (read_batch && unit->size() >= 2) {
+        ++stats_.batches;
+        stats_.batched_requests += unit->size();
+      }
     }
-  }
-  if (unit->empty()) {
-    inflight_units_.Done();
-    return;
   }
 
-  {
+  if (!unit->empty()) {
     OPCQA_TIMED_SCOPE("server.unit");
-    std::lock_guard<std::mutex> session_lock(tenant->session_mutex);
     engine::OcqaSession& session = *tenant->session;
-    const bool read_batch = !IsMutation(unit->front().request);
-    if (read_batch && unit->size() >= 2) {
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      batched_requests_.fetch_add(unit->size(), std::memory_order_relaxed);
-    }
 
     // Panic isolation: an exception escaping a member — a defect in the
     // engine, a throwing user generator, an injected failpoint crash —
     // becomes that member's Internal response. It never unwinds into the
     // pool worker (whose bodies must not throw; util/parallel.h) and
     // never poisons another member or tenant.
-    auto run_isolated = [&](PendingRequest& pending,
-                            const engine::CallOptions& call,
-                            ExecOutcome* outcome) -> Response {
+    auto run_and_finish = [&](PendingRequest& pending,
+                              const engine::CallOptions& call) {
+      ExecOutcome outcome;
+      Response response;
+      bool panicked = false;
       try {
         // The span and the histogram time the same scope, so the trace
         // coverage gate (span sum vs server.request_ms sum) holds by
@@ -469,22 +449,22 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         OPCQA_TRACE_REQUEST(pending.request.id, pending.request.tenant);
         OPCQA_TIMED_SCOPE("server.request");
         if (!IsMutation(pending.request)) OPCQA_FAILPOINT_HIT("server.unit");
-        return ExecuteOnSession(session, generator.get(), pending.request,
-                                call, outcome);
+        response = ExecuteOnSession(session, generator.get(), pending.request,
+                                    call, &outcome);
       } catch (const std::exception& e) {
-        panics_.fetch_add(1, std::memory_order_relaxed);
+        panicked = true;
         OPCQA_LOG(Warning) << "isolated a panic in tenant '"
                            << pending.request.tenant
                            << "' unit: " << e.what();
-        if (outcome != nullptr) *outcome = ExecOutcome();
-        Response response;
+        outcome = ExecOutcome();
+        response = Response();
         response.id = pending.request.id;
         response.tenant = pending.request.tenant;
         response.status =
             Status::Internal(std::string("worker panic: ") + e.what());
         response.path = Response::Path::kError;
-        return response;
       }
+      FinishMember(tenant, pending, std::move(response), outcome, panicked);
     };
 
     std::vector<bool> done(unit->size(), false);
@@ -499,15 +479,7 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         if (!plan.ok() || plan->kind != planner::PlanKind::kRewriting) {
           continue;  // walks (or errors) run in queue order below
         }
-        Response response = run_isolated(pending, {}, nullptr);
-        if (response.status.ok()) {
-          rewriting_fast_path_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          errors_.fetch_add(1, std::memory_order_relaxed);
-          failed_.fetch_add(1, std::memory_order_relaxed);
-        }
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        pending.promise.set_value(std::move(response));
+        run_and_finish(pending, {});
         done[i] = true;
       }
     }
@@ -530,7 +502,8 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
         ephemeral.max_roots = 1;
         ephemeral.snapshot_dir.clear();  // nothing durable about a bypass
         bypass = std::make_unique<RepairSpaceCache>(ephemeral);
-        pressure_bypasses_.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.pressure_bypasses;
       }
     }
 
@@ -540,38 +513,9 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
       engine::CallOptions call;
       call.max_states = pending.request.deadline_states != 0
                             ? pending.request.deadline_states
-                            : tenant->options.deadline_states;
+                            : tenant_deadline_states;
       call.cache = bypass.get();
-      ExecOutcome outcome;
-      Response response = run_isolated(pending, call, &outcome);
-      if (IsMutation(pending.request)) {
-        mutations_.fetch_add(1, std::memory_order_relaxed);
-      } else if (pending.request.kind == RequestKind::kTopK) {
-        topk_searches_.fetch_add(1, std::memory_order_relaxed);
-      } else if (response.path == Response::Path::kRewriting) {
-        rewriting_fast_path_.fetch_add(1, std::memory_order_relaxed);
-      } else if (outcome.enumerated) {
-        if (outcome.memo.hits > 0 && outcome.memo.misses == 0) {
-          replays_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          walks_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (outcome.truncated) {
-        deadline_truncations_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!response.status.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        // Deadline misses are the only ResourceExhausted produced during
-        // execution (admission rejections never reach a unit).
-        if (response.status.code() == StatusCode::kResourceExhausted) {
-          timed_out_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      pending.promise.set_value(std::move(response));
+      run_and_finish(pending, call);
     }
   }
 
@@ -581,40 +525,55 @@ void OcqaServer::ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit) {
     OPCQA_CHECK_GE(tenant->in_flight, unit->size());
     tenant->in_flight -= unit->size();
     PumpLocked();  // successors are in flight before this unit's Done()
-    if (AllIdleLocked()) drained_cv_.notify_all();  // Shutdown's drain wait
   }
   inflight_units_.Done();
 }
 
-ServerStats OcqaServer::Stats() {
-  ServerStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.completed = completed_.load(std::memory_order_relaxed);
-  stats.rejected_admission =
-      rejected_admission_.load(std::memory_order_relaxed);
-  stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
-  stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  stats.walks = walks_.load(std::memory_order_relaxed);
-  stats.replays = replays_.load(std::memory_order_relaxed);
-  stats.rewriting_fast_path =
-      rewriting_fast_path_.load(std::memory_order_relaxed);
-  stats.topk_searches = topk_searches_.load(std::memory_order_relaxed);
-  stats.mutations = mutations_.load(std::memory_order_relaxed);
-  stats.pressure_bypasses =
-      pressure_bypasses_.load(std::memory_order_relaxed);
-  stats.deadline_truncations =
-      deadline_truncations_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.timed_out = timed_out_.load(std::memory_order_relaxed);
-  stats.failed = failed_.load(std::memory_order_relaxed);
-  stats.panics = panics_.load(std::memory_order_relaxed);
+void OcqaServer::FinishMember(Tenant* tenant, PendingRequest& pending,
+                              Response response, const ExecOutcome& outcome,
+                              bool panicked) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (panicked) ++stats_.panics;
+    if (IsMutation(pending.request)) {
+      ++stats_.mutations;
+    } else if (pending.request.kind == RequestKind::kTopK) {
+      ++stats_.topk_searches;
+    } else if (response.path == Response::Path::kRewriting) {
+      ++stats_.rewriting_fast_path;
+    } else if (outcome.enumerated) {
+      if (outcome.memo.hits > 0 && outcome.memo.misses == 0) {
+        ++stats_.replays;
+      } else {
+        ++stats_.walks;
+      }
+    }
+    if (outcome.truncated) ++stats_.deadline_truncations;
+    if (!response.status.ok()) {
+      ++stats_.errors;
+      // Deadline misses are the only ResourceExhausted produced during
+      // execution (admission rejections never reach a unit).
+      if (response.status.code() == StatusCode::kResourceExhausted) {
+        ++stats_.timed_out;
+      } else {
+        ++stats_.failed;
+      }
+    }
+    ++stats_.completed;
+    // Safe without a session lock: only this unit's worker touches it.
+    tenant->planner = tenant->session->PlanStats();
+  }
+  pending.promise.set_value(std::move(response));
+}
+
+ServerStats OcqaServer::Stats() {
+  ServerStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats = stats_;
     stats.tenants = tenants_.size();
-    for (auto& entry : tenants_) {
-      std::lock_guard<std::mutex> session_lock(entry.second->session_mutex);
-      const planner::PlannerStats& p = entry.second->session->PlanStats();
+    for (const auto& entry : tenants_) {
+      const planner::PlannerStats& p = entry.second->planner;
       stats.planner.rewrite_plans += p.rewrite_plans;
       stats.planner.walk_plans += p.walk_plans;
       stats.planner.plan_cache_hits += p.plan_cache_hits;

@@ -73,13 +73,21 @@
 // error — never the worker pool or another tenant's unit. Stats()
 // separates the failure buckets: `shed` never executed (admission cap
 // or shutdown), `timed_out` hit its deadline, `failed` everything else.
+//
+// ## Sessions and counting
+//
+// There is no session lock: a tenant's `busy` flag admits one unit at a
+// time and the server mutex orders its units, so a session is touched
+// only by the worker running its tenant's current unit. Every counter
+// lives in one ServerStats under the server mutex; a unit books each
+// member there, with a copy of its session's planner counters, before
+// the member's promise resolves. Stats() copies the books in one
+// critical section — a coherent snapshot that touches no session.
 
 #ifndef OPCQA_SERVER_OCQA_SERVER_H_
 #define OPCQA_SERVER_OCQA_SERVER_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <future>
 #include <map>
@@ -118,10 +126,12 @@ struct ServerOptions {
   ServerOptions() { enumeration.memoize = true; }  // serving IS sharing
 };
 
-/// Point-in-time server counters. Request/batch counters are exact;
-/// walk/replay classification comes from per-call memo deltas on the
-/// shared cache, so concurrent same-root units can shift a replay to a
-/// walk label (never the reverse) — observability, not semantics.
+/// Point-in-time server counters. Request/batch counters are exact and
+/// read together (OcqaServer::Stats), so every snapshot satisfies
+/// errors == timed_out + failed and completed <= submitted. Walk/replay
+/// classification comes from per-call memo deltas on the shared cache, so
+/// concurrent same-root units can shift a replay to a walk label (never
+/// the reverse) — observability, not semantics.
 struct ServerStats {
   uint64_t submitted = 0;
   uint64_t completed = 0;
@@ -148,11 +158,20 @@ struct ServerStats {
   uint64_t pressure_bypasses = 0;       // units run on a private cache
   uint64_t deadline_truncations = 0;    // responses that hit their budget
   size_t tenants = 0;
-  /// Shared-cache / disk-tier / planner counters aggregated across every
-  /// tenant session, one coherent snapshot.
+  /// Shared-cache and disk-tier counters (the cache's own snapshots), and
+  /// the planner counters summed over every tenant session as of its last
+  /// finished member.
   MemoStats cache;
   DiskTierStats disk;
   planner::PlannerStats planner;
+};
+
+/// What ExecuteOnSession reports besides the response: the per-call memo
+/// delta (walk/replay classification) and whether the walk truncated.
+struct ExecOutcome {
+  bool enumerated = false;  // memo delta below is meaningful
+  MemoStats memo;
+  bool truncated = false;
 };
 
 class OcqaServer {
@@ -204,8 +223,8 @@ class OcqaServer {
   /// stay rejected afterwards.
   void Shutdown(std::chrono::milliseconds deadline);
 
-  /// One coherent snapshot across the queue, the shared cache and every
-  /// tenant session.
+  /// The server's counters as one coherent snapshot (copied under the
+  /// server mutex; no session is touched), plus the shared cache's.
   ServerStats Stats();
 
   /// Spills every dirty shared-cache root to the disk tier now (no-op
@@ -224,12 +243,12 @@ class OcqaServer {
   using Unit = std::vector<PendingRequest>;
 
   struct Tenant {
+    /// Touched only by the worker running this tenant's unit (`busy`).
     std::unique_ptr<engine::OcqaSession> session;
-    /// Serializes session access: unit execution and Stats() aggregation
-    /// (planner counters mutate during planning).
-    std::mutex session_mutex;
+    // Everything below is guarded by the server mutex_.
     TenantOptions options;
-    // Queue state below is guarded by the server mutex_.
+    /// The session's planner counters as of its last finished member.
+    planner::PlannerStats planner;
     std::deque<PendingRequest> queue;
     bool busy = false;       // a unit of this tenant is running
     size_t in_flight = 0;    // queued + running requests (admission gauge)
@@ -249,10 +268,14 @@ class OcqaServer {
   /// Executes a unit on a worker: planner fast lane, pressure probe,
   /// then members in order on the tenant session.
   void ExecuteUnit(Tenant* tenant, std::shared_ptr<Unit> unit);
-  const ChainGenerator* FindGenerator(const std::string& name) const;
+  /// Books one finished member into stats_ and the tenant's planner copy
+  /// under mutex_, then resolves its promise — the one accounting path of
+  /// the fast lane and the member loop. `panicked`: the member's
+  /// exception was isolated into `response`.
+  void FinishMember(Tenant* tenant, PendingRequest& pending,
+                    Response response, const ExecOutcome& outcome,
+                    bool panicked);
 
-  /// True when every tenant is idle with an empty queue. mutex_ held.
-  bool AllIdleLocked() const;
   /// The Unavailable response shed requests complete with. mutex_ held
   /// (only for the counters' sake — it touches no shared state).
   static Response ShedResponse(const Request& request);
@@ -265,30 +288,14 @@ class OcqaServer {
   std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
   bool shutting_down_ = false;
-  /// Signaled (under mutex_) whenever a unit completes and everything is
-  /// idle — Shutdown's drain wait.
-  std::condition_variable drained_cv_;
   std::map<std::string, std::shared_ptr<const ChainGenerator>> generators_;
+  /// The request/batch counters (guarded by mutex_); Stats() fills the
+  /// tenant, cache, disk and planner fields at read time.
+  ServerStats stats_;
 
+  /// Units handed to the pool and not yet finished: Drain()'s wait, and
+  /// Shutdown's deadline-bounded drain.
   TaskGroup inflight_units_;
-
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_admission_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_requests_{0};
-  std::atomic<uint64_t> walks_{0};
-  std::atomic<uint64_t> replays_{0};
-  std::atomic<uint64_t> rewriting_fast_path_{0};
-  std::atomic<uint64_t> topk_searches_{0};
-  std::atomic<uint64_t> mutations_{0};
-  std::atomic<uint64_t> pressure_bypasses_{0};
-  std::atomic<uint64_t> deadline_truncations_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> timed_out_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> panics_{0};
 
   /// Last member, so the pool (whose threads the destructor joins first)
   /// outlives everything units touch.
@@ -300,11 +307,6 @@ class OcqaServer {
 /// `generator` (may be null for mutations) with the resolved per-call
 /// options, and renders the canonical payload. `outcome`, when non-null,
 /// receives the per-call memo delta for walk/replay classification.
-struct ExecOutcome {
-  bool enumerated = false;  // memo delta below is meaningful
-  MemoStats memo;
-  bool truncated = false;
-};
 Response ExecuteOnSession(engine::OcqaSession& session,
                           const ChainGenerator* generator,
                           const Request& request,

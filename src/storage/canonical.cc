@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <functional>
+#include <limits>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -235,13 +236,11 @@ std::vector<FactId> Dictionary(const Database& root_db) {
 
 using FactIndexMap = std::unordered_map<FactId, uint32_t>;
 
-/// Varint count, then the first index followed by gap-1 codes — a
-/// strictly ascending set's gaps are >= 1, so the subtraction frees the
-/// common dense-range case into single-byte varints.
-void EncodeRemoved(Writer* writer, const std::vector<FactId>& removed,
-                   const FactIndexMap& index_of) {
-  // Ascending dictionary indices == fact value order, independent of the
-  // process-local numeric id order the live table verifies in.
+/// A removed set as ascending dictionary indices == fact value order,
+/// independent of the process-local numeric id order the live table
+/// verifies in.
+std::vector<uint32_t> CanonicalIndices(const std::vector<FactId>& removed,
+                                       const FactIndexMap& index_of) {
   std::vector<uint32_t> indices;
   indices.reserve(removed.size());
   for (FactId id : removed) {
@@ -251,6 +250,13 @@ void EncodeRemoved(Writer* writer, const std::vector<FactId>& removed,
     indices.push_back(it->second);
   }
   std::sort(indices.begin(), indices.end());
+  return indices;
+}
+
+/// Varint count, then the first index followed by gap-1 codes — a
+/// strictly ascending set's gaps are >= 1, so the subtraction frees the
+/// common dense-range case into single-byte varints.
+void EncodeIndices(Writer* writer, const std::vector<uint32_t>& indices) {
   writer->Var(indices.size());
   uint32_t previous = 0;
   for (size_t i = 0; i < indices.size(); ++i) {
@@ -267,6 +273,41 @@ void EncodeViolation(Writer* writer, const Violation& violation,
   for (const auto& [var, value] : bindings) {
     dict->Write(writer, VarName(var));
     dict->Write(writer, ConstName(value));
+  }
+}
+
+/// An eliminated set's `violations` encoding with a fresh string
+/// dictionary — a function of the set alone, unlike its in-payload
+/// encoding, whose dictionary codes depend on the entries written before
+/// it. Compact, so the encoder holds these instead of set copies.
+std::string EncodeEliminatedAlone(const ViolationSet& eliminated) {
+  std::string out;
+  Writer writer(&out);
+  StringDictEncoder dict;
+  writer.Var(eliminated.size());
+  for (const Violation& violation : eliminated) {
+    EncodeViolation(&writer, violation, &dict);
+  }
+  return out;
+}
+
+/// Rewrites an EncodeEliminatedAlone blob against the payload's shared
+/// string dictionary: the bytes encoding the set in place would write.
+void TranscodeEliminated(const std::string& alone, Writer* writer,
+                         StringDictEncoder* dict) {
+  Reader reader(alone.data(), alone.size());
+  StringDictDecoder local;
+  std::string text;
+  uint64_t violations = reader.Var();
+  writer->Var(violations);
+  for (uint64_t v = 0; v < violations; ++v) {
+    writer->Var(reader.Var());  // constraint_index
+    uint64_t bindings = reader.Var();
+    writer->Var(bindings);
+    for (uint64_t b = 0; b < 2 * bindings; ++b) {
+      OPCQA_CHECK(local.Read(&reader, &text));
+      dict->Write(writer, text);
+    }
   }
 }
 
@@ -402,42 +443,50 @@ Status VerifyIdentityPayload(const char* data, size_t size,
 // Entry payloads
 // ---------------------------------------------------------------------
 
-/// Runs a per-entry callback over some subset of a table (ForEach or a
-/// ForEachSince window) — the seam between full snapshots and delta
-/// records, which share one entry encoding.
-using EntryEnumerator = std::function<void(
-    const std::function<void(const std::vector<FactId>& removed,
-                             const ViolationSet& eliminated,
-                             const MemoOutcome& outcome)>&)>;
-
+/// The shared entry encoding of full snapshots and delta records: the
+/// entries of `table` stamped in (since, upto]. They are written in
+/// ascending order of their canonical removed-index sequences, ties broken
+/// by EncodeEliminatedAlone, so the bytes are a function of the entries
+/// and not of the table's insertion history.
 std::string EncodeEntriesPayload(const Database& root_db,
-                                 const EntryEnumerator& for_each,
-                                 size_t* entry_count_out) {
+                                 const TranspositionTable& table,
+                                 uint64_t since, uint64_t upto,
+                                 size_t* entry_count) {
   std::vector<FactId> dictionary = Dictionary(root_db);
   FactIndexMap index_of;
   index_of.reserve(dictionary.size());
   for (uint32_t i = 0; i < dictionary.size(); ++i) {
     index_of.emplace(dictionary[i], i);
   }
+  // (canonical removed indices, EncodeEliminatedAlone, outcome): sorting
+  // the tuples orders entries by content; the outcome pointer never
+  // decides, as no two entries of a table share both keys.
+  std::vector<std::tuple<std::vector<uint32_t>, std::string,
+                         std::shared_ptr<const MemoOutcome>>>
+      entries;
+  table.ForEach(
+      [&](const TranspositionTable::EntryView& entry) {
+        entries.emplace_back(CanonicalIndices(entry.removed, index_of),
+                             EncodeEliminatedAlone(entry.eliminated),
+                             entry.outcome);
+      },
+      since, upto);
+  std::sort(entries.begin(), entries.end());
+
   std::string payload;
-  size_t entry_count = 0;
   Writer writer(&payload);
   // Fixed-width prefix (everything after is varint/dict-coded): the
-  // dictionary size pins the index space, the count is back-patched.
+  // dictionary size pins the index space, then the entry count.
   writer.U64(dictionary.size());
-  size_t count_pos = payload.size();
-  writer.U64(0);
+  writer.U64(entries.size());
   StringDictEncoder dict;
-  for_each([&](const std::vector<FactId>& removed,
-               const ViolationSet& eliminated, const MemoOutcome& outcome) {
-    EncodeRemoved(&writer, removed, index_of);
-    writer.Var(eliminated.size());
-    for (const Violation& violation : eliminated) {
-      EncodeViolation(&writer, violation, &dict);
-    }
+  for (const auto& [removed, eliminated, outcome_ptr] : entries) {
+    EncodeIndices(&writer, removed);
+    TranscodeEliminated(eliminated, &writer, &dict);
+    const MemoOutcome& outcome = *outcome_ptr;
     writer.Var(outcome.repairs.size());
     for (const MemoOutcome::RepairShare& share : outcome.repairs) {
-      EncodeRemoved(&writer, share.removed, index_of);
+      EncodeIndices(&writer, CanonicalIndices(share.removed, index_of));
       dict.Write(&writer, share.mass.ToString());
       writer.Var(share.num_sequences);
     }
@@ -448,12 +497,8 @@ std::string EncodeEntriesPayload(const Database& root_db,
     writer.Var(outcome.successful_sequences);
     writer.Var(outcome.failing_sequences);
     writer.Var(outcome.depth_below);
-    ++entry_count;
-  });
-  std::string patched;
-  Writer(&patched).U64(entry_count);
-  payload.replace(count_pos, patched.size(), patched);
-  if (entry_count_out != nullptr) *entry_count_out = entry_count;
+  }
+  if (entry_count != nullptr) *entry_count = entries.size();
   return payload;
 }
 
@@ -581,7 +626,7 @@ std::string EncodeSnapshot(const SnapshotIdentity& identity,
                            const Database& root_db,
                            const TranspositionTable& table) {
   std::string entries_payload = EncodeEntriesPayload(
-      root_db, [&table](const auto& fn) { table.ForEach(fn); }, nullptr);
+      root_db, table, 0, std::numeric_limits<uint64_t>::max(), nullptr);
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   Writer header(&out);
@@ -648,12 +693,8 @@ std::string EncodeDeltaRecord(const Database& root_db,
                               const TranspositionTable& table,
                               uint64_t since_seq, uint64_t upto_seq,
                               size_t* entry_count) {
-  std::string payload = EncodeEntriesPayload(
-      root_db,
-      [&table, since_seq, upto_seq](const auto& fn) {
-        table.ForEachSince(since_seq, upto_seq, fn);
-      },
-      entry_count);
+  std::string payload = EncodeEntriesPayload(root_db, table, since_seq,
+                                             upto_seq, entry_count);
   std::string out;
   AppendSection(&out, kSectionDelta, payload);
   return out;

@@ -96,6 +96,8 @@ inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Serializes the table's current entries (a point-in-time view; safe
 /// while other threads keep inserting) into canonical snapshot bytes.
+/// Entries are written in canonical order (docs/SNAPSHOT_FORMAT.md), so
+/// two tables holding the same entries encode to the same bytes.
 /// `root_db` must be the chain-root database the table memoizes under —
 /// every stored removed id must resolve in it.
 std::string EncodeSnapshot(const SnapshotIdentity& identity,
@@ -126,7 +128,7 @@ Result<std::shared_ptr<TranspositionTable>> DecodeSnapshot(
 std::string EncodeDeltaLogHead(const SnapshotIdentity& identity);
 
 /// One CRC-framed delta record holding the still-resident table entries
-/// stamped in (since_seq, upto_seq] (TranspositionTable::ForEachSince).
+/// stamped in (since_seq, upto_seq] (TranspositionTable::Entries).
 /// `*entry_count` gets the number of entries serialized; when it is 0 the
 /// record carries nothing and need not be appended.
 std::string EncodeDeltaRecord(const Database& root_db,

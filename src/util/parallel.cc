@@ -80,6 +80,11 @@ void TaskGroup::Wait() {
   cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
+bool TaskGroup::WaitFor(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return cv_.wait_for(lock, timeout, [this] { return outstanding_ == 0; });
+}
+
 void ThreadPool::WorkerLoop() {
   t_on_pool_worker = true;
   for (;;) {
@@ -98,15 +103,13 @@ void ThreadPool::WorkerLoop() {
 namespace {
 
 // Shared state of one ParallelFor call. Helpers and the caller claim
-// indices from `next`; the caller blocks until `active_helpers` drops to 0,
+// indices from `next`; the caller waits until every helper is Done(),
 // which keeps the by-reference `body` capture valid for the helpers.
 struct ForState {
   const std::function<void(size_t)>* body;
   size_t n;
   std::atomic<size_t> next{0};
-  std::mutex mutex;
-  std::condition_variable done;
-  size_t active_helpers = 0;
+  TaskGroup helpers;
 };
 
 void DrainLoop(ForState* state) {
@@ -132,17 +135,15 @@ void ParallelFor(size_t n, size_t threads,
   auto state = std::make_shared<ForState>();
   state->body = &body;
   state->n = n;
-  state->active_helpers = helpers;
+  state->helpers.Add(helpers);
   for (size_t h = 0; h < helpers; ++h) {
     pool.Submit([state] {
       DrainLoop(state.get());
-      std::lock_guard<std::mutex> lock(state->mutex);
-      if (--state->active_helpers == 0) state->done.notify_all();
+      state->helpers.Done();
     });
   }
   DrainLoop(state.get());
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->active_helpers == 0; });
+  state->helpers.Wait();
 }
 
 }  // namespace opcqa

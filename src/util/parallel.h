@@ -20,6 +20,7 @@
 #ifndef OPCQA_UTIL_PARALLEL_H_
 #define OPCQA_UTIL_PARALLEL_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -71,8 +72,10 @@ class ThreadPool {
 /// task to an executor, Done() when it completes, Wait() blocks until the
 /// outstanding count returns to zero. Unlike ParallelFor (which owns its
 /// work items for the duration of one call), a TaskGroup lets a long-lived
-/// component — the serving front end draining its request queue — wait for
-/// work that was submitted from many call sites at many times.
+/// component — the serving front end draining its units, the repair cache
+/// draining its background spills — wait for work that was submitted from
+/// many call sites at many times. Done() is safe as a task's last touch of
+/// its owner: a Wait() that returns may destroy the group at once.
 class TaskGroup {
  public:
   /// Registers `n` not-yet-completed tasks.
@@ -82,6 +85,9 @@ class TaskGroup {
   /// Blocks until every added task has called Done(). Safe to call from
   /// several threads; all of them wake on the zero crossing.
   void Wait();
+  /// Wait() bounded by `timeout`: true once the count is zero, false when
+  /// the timeout passes with tasks still outstanding.
+  bool WaitFor(std::chrono::milliseconds timeout);
 
  private:
   std::mutex mutex_;

@@ -200,9 +200,10 @@ TEST(EnumeratorTest, EquiprobableRepairsComeOutInDatabaseOrder) {
           cache.TableFor(w.db, w.constraints, gen);
       ASSERT_NE(table, nullptr);
       size_t entries = 0;
-      table->ForEach([&](const std::vector<FactId>& removed,
-                         const ViolationSet&, const MemoOutcome& outcome) {
+      table->ForEach([&](const TranspositionTable::EntryView& view) {
         ++entries;
+        const std::vector<FactId>& removed = view.removed;
+        const MemoOutcome& outcome = *view.outcome;
         Database entry = w.db;
         for (FactId id : removed) entry.EraseId(id);
         std::vector<Database> repairs;

@@ -159,7 +159,7 @@ TEST(TranspositionTableTest, RejectsForcedHashCollisions) {
   auto outcome2 = std::make_shared<MemoOutcome>();
   outcome2->states = 2;
   table.Insert(forged, removed2, {}, outcome2);
-  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.stats().entries, 2u);
   EXPECT_EQ(table.Lookup(forged, removed1, {}), outcome1);
   EXPECT_EQ(table.Lookup(forged, removed2, {}), outcome2);
 
@@ -190,7 +190,7 @@ TEST(TranspositionTableTest, BudgetOverflowEvictsCheapEntriesFirst) {
   MemoStats stats = table.stats();
   EXPECT_EQ(stats.inserts, 64u);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(table.size(), 16u);
+  EXPECT_LE(table.stats().entries, 16u);
   EXPECT_EQ(stats.inserts - stats.evictions, stats.entries);
   // Every surviving entry still answers (and survivors exist).
   size_t live = 0;
@@ -200,7 +200,7 @@ TEST(TranspositionTableTest, BudgetOverflowEvictsCheapEntriesFirst) {
       ++live;
     }
   }
-  EXPECT_EQ(live, table.size());
+  EXPECT_EQ(live, table.stats().entries);
 }
 
 TEST(TranspositionTableTest, ExpensiveSubtreesSurviveTheSweepLongest) {

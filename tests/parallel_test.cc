@@ -1,11 +1,14 @@
 // Tests for the parallel execution layer: the ParallelFor/ThreadPool
-// utility, concurrency-safe FactStore interning, and the determinism
+// utility, the TaskGroup drain primitive (Wait and the deadline-bounded
+// WaitFor), concurrency-safe FactStore interning, and the determinism
 // contract — multi-threaded enumeration and sampling are byte-identical to
 // serial for every thread count, including under max_states truncation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -59,6 +62,46 @@ TEST(ParallelForTest, ParallelMapPreservesIndexOrder) {
       ParallelMap<size_t>(100, 8, [](size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+}
+
+// ---------------------------------------------------------------------
+// TaskGroup
+// ---------------------------------------------------------------------
+
+TEST(TaskGroupTest, WaitReturnsOnceTheCountReachesZero) {
+  TaskGroup group;
+  group.Wait();  // nothing outstanding: returns at once
+  constexpr size_t kTasks = 16;
+  std::atomic<size_t> finished{0};
+  ThreadPool pool(2);  // declared after `group`: joined before it dies
+  group.Add(kTasks);
+  for (size_t i = 0; i < kTasks; ++i) {
+    pool.Submit([&] {
+      finished.fetch_add(1);
+      group.Done();
+    });
+  }
+  group.Wait();
+  EXPECT_EQ(finished.load(), kTasks);
+}
+
+TEST(TaskGroupTest, WaitForReportsWhetherTheWorkIsDone) {
+  TaskGroup group;
+  EXPECT_TRUE(group.WaitFor(std::chrono::milliseconds(0)));
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ThreadPool pool(1);
+  group.Add();
+  pool.Submit([&group, released] {
+    released.wait();
+    group.Done();
+  });
+  // The task cannot finish before the release: the deadline passes.
+  EXPECT_FALSE(group.WaitFor(std::chrono::milliseconds(0)));
+  EXPECT_FALSE(group.WaitFor(std::chrono::milliseconds(20)));
+  release.set_value();
+  EXPECT_TRUE(group.WaitFor(std::chrono::minutes(5)));
+  EXPECT_TRUE(group.WaitFor(std::chrono::milliseconds(0)));
 }
 
 // ---------------------------------------------------------------------

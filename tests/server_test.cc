@@ -5,14 +5,18 @@
 // both exec modes, per-tenant admission rejection, the cache-pressure
 // bypass, the planner fast lane, graceful shutdown (drain + shed with
 // Unavailable), per-unit panic isolation, failure-bucket accounting,
-// trace format round-trips, and the aggregated Stats() snapshot.
+// tenant options rewritten while the tenant's units run, coherent
+// Stats() snapshots taken mid-run, and trace format round-trips.
 // TSan-gated in CI.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -48,30 +52,45 @@ Request ReadRequest(uint64_t id, const std::string& tenant,
 
 /// A generator that stalls every Probabilities() call until Release() —
 /// pins the (sole) worker so later submissions demonstrably queue.
+/// WaitEntered() returns once a call is inside the gate, i.e. once a worker
+/// has picked up the gated request and started executing it.
 class GateGenerator {
  public:
-  GateGenerator()
-      : released_(promise_.get_future().share()),
-        inner_(std::make_shared<UniformChainGenerator>()) {}
-
   std::shared_ptr<const ChainGenerator> Make() {
-    auto released = released_;
-    auto inner = inner_;
+    auto state = state_;
     return std::make_shared<LambdaChainGenerator>(
-        "gate",
-        [released, inner](const RepairingState& state,
-                          const std::vector<Operation>& extensions) {
-          released.wait();
-          return inner->Probabilities(state, extensions);
+        "gate", [state](const RepairingState& repairing,
+                        const std::vector<Operation>& extensions) {
+          {
+            std::unique_lock<std::mutex> lock(state->mutex);
+            state->entered = true;
+            state->cv.notify_all();
+            state->cv.wait(lock, [&] { return state->released; });
+          }
+          return state->inner.Probabilities(repairing, extensions);
         });
   }
 
-  void Release() { promise_.set_value(); }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(state_->mutex);
+    state_->cv.wait(lock, [&] { return state_->entered; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->released = true;
+    state_->cv.notify_all();
+  }
 
  private:
-  std::promise<void> promise_;
-  std::shared_future<void> released_;
-  std::shared_ptr<UniformChainGenerator> inner_;
+  struct State {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    UniformChainGenerator inner;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 
 // ---------------------------------------------------------------------
@@ -138,6 +157,7 @@ TEST(OcqaServerTest, SameRootRequestsBatchBehindOneWalk) {
                                 "gate");
   std::vector<std::future<Response>> futures;
   futures.push_back(server.Submit(blocker));
+  gate.WaitEntered();
 
   constexpr size_t kSameRoot = 6;
   for (size_t i = 0; i < kSameRoot; ++i) {
@@ -318,6 +338,7 @@ TEST(OcqaServerTest, PerTenantAdmissionRejectsOverBudget) {
   // Request 1 runs (stalled on the gate), request 2 queues — budget full.
   auto f1 = server.Submit(ReadRequest(0, "t", w, "Q() := exists x R(x,x)",
                                       "gate"));
+  gate.WaitEntered();
   auto f2 = server.Submit(ReadRequest(1, "t", w, "Q(x,y) := R(x,y)"));
   auto f3 = server.Submit(ReadRequest(2, "t", w, "Q(x,y) := R(x,y)"));
   Response rejected = f3.get();  // resolves immediately
@@ -416,9 +437,12 @@ TEST(OcqaServerTest, ShutdownDrainsAndShedsWithUnavailable) {
   GateGenerator gate;
   server.RegisterGenerator("gate", gate.Make());
 
-  // A pins the sole worker; B and C queue behind it.
+  // A pins the sole worker; B and C queue behind it. A must be running
+  // before the shutdown: a unit still waiting for the worker is unstarted
+  // and would be shed with B and C.
   auto a = server.Submit(ReadRequest(0, "t", w, "Q() := exists x R(x,x)",
                                      "gate"));
+  gate.WaitEntered();
   auto b = server.Submit(ReadRequest(1, "t", w, "Q(x,y) := R(x,y)"));
   auto c = server.Submit(ReadRequest(2, "u", w, "Q(x,y) := R(x,y)"));
 
@@ -499,6 +523,95 @@ TEST(OcqaServerTest, FailureBucketsSeparateDeadlinesFromHardErrors) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.errors, 1u);
   EXPECT_EQ(stats.shed, 0u);
+}
+
+TEST(OcqaServerTest, AddTenantWhileItsRequestsExecute) {
+  // AddTenant rewrites a tenant's options under the server mutex while
+  // that tenant's units run; units read them under the same mutex. The
+  // alternating deadline never binds, so every answer stays exact.
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
+  ServerOptions options;
+  options.workers = 2;
+  OcqaServer server(w.db, w.constraints, options);
+  std::atomic<bool> stop{false};
+  std::thread updater([&] {
+    TenantOptions qos;
+    for (size_t i = 0; !stop.load(); ++i) {
+      qos.deadline_states = i % 2 == 0 ? 0 : 1000000;
+      server.AddTenant("t", qos);
+    }
+  });
+  constexpr uint64_t kRequests = 24;
+  for (uint64_t i = 0; i < kRequests; i += 2) {
+    auto first = server.Submit(ReadRequest(i, "t", w, "Q(x,y) := R(x,y)"));
+    auto second =
+        server.Submit(ReadRequest(i + 1, "t", w, "Q(x) := exists y: R(x,y)"));
+    EXPECT_TRUE(first.get().status.ok());
+    EXPECT_TRUE(second.get().status.ok());
+  }
+  stop.store(true);
+  updater.join();
+  EXPECT_EQ(server.Stats().completed, kRequests);
+}
+
+TEST(OcqaServerTest, StatsSnapshotsAreCoherentWhileServing) {
+  // Stats() copies the books in one critical section, so no snapshot
+  // taken mid-run can see an error without its bucket, or a completion
+  // without its submission.
+  gen::Workload w = gen::MakeKeyViolationWorkload(5, 4, 2, /*seed=*/11);
+  TraceSpec spec;
+  spec.tenants = 4;
+  spec.requests = 64;
+  spec.write_fraction = 0.15;
+  spec.certain_fraction = 0.2;
+  spec.topk_fraction = 0.1;
+  spec.seed = 5;
+  std::vector<Request> trace = GenerateTrace(w, spec);
+  // Make both error buckets move: some reads time out, some fail.
+  for (size_t i = 0; i < trace.size(); ++i) {
+    Request& request = trace[i];
+    if (request.kind == RequestKind::kInsert ||
+        request.kind == RequestKind::kErase) {
+      continue;
+    }
+    if (i % 5 == 1) {
+      request.mode = ExecMode::kExact;
+      request.deadline_states = 8;
+    } else if (i % 7 == 3) {
+      request.generator = "missing";
+    }
+  }
+
+  ServerOptions options;
+  options.workers = 4;
+  OcqaServer server(w.db, w.constraints, options);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> snapshots{0};
+  std::atomic<size_t> incoherent{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        ServerStats stats = server.Stats();
+        if (stats.errors != stats.timed_out + stats.failed ||
+            stats.completed > stats.submitted) {
+          incoherent.fetch_add(1);
+        }
+        snapshots.fetch_add(1);
+      }
+    });
+  }
+  std::vector<Response> responses = server.SubmitAll(trace);
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(incoherent.load(), 0u) << "of " << snapshots.load();
+  EXPECT_GT(snapshots.load(), 0u);
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, trace.size());
+  EXPECT_GT(stats.timed_out, 0u);
+  EXPECT_GT(stats.failed, 0u);
+  EXPECT_EQ(stats.errors, stats.timed_out + stats.failed);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the disk tier (src/storage/ + the RepairSpaceCache
 // integration): canonical snapshot round trips with byte-identical
-// answers, a genuine fresh-process warm start (fork + exec), rejection of
+// answers, entry order that depends only on the entries, a genuine
+// fresh-process warm start (fork + exec), rejection of
 // corrupt/truncated/unsupported-version snapshots (including a committed
 // format-v1 fixture) with cold-compute fallback, disk GC under
 // max_disk_bytes, spill-on-LRU-eviction, the hardening paths (bounded
@@ -27,6 +28,7 @@
 #include "repair/repair_enumerator.h"
 #include "storage/canonical.h"
 #include "storage/snapshot_store.h"
+#include "util/hash.h"
 
 namespace opcqa {
 namespace {
@@ -187,6 +189,73 @@ TEST(StorageSnapshotTest, WarmStartFromDiskIsByteIdenticalAndSkipsWalks) {
   EXPECT_EQ(warm_cache.TotalStats().entries, cold_entries);
 }
 
+/// The live StateKey of a table entry under `root` — what the snapshot
+/// decoder recomputes: the database hash minus each removed fact's mixed
+/// hash, and the sum of the eliminated violations' mixed hashes.
+StateKey KeyUnder(const Database& root,
+                  const TranspositionTable::EntryView& entry) {
+  StateKey key{root.Hash(), 0};
+  for (FactId id : entry.removed) {
+    key.db_hash -= HashMix64(FactStore::Global().hash(id));
+  }
+  for (const Violation& violation : entry.eliminated) {
+    key.eliminated_hash += HashMix64(violation.Hash());
+  }
+  return key;
+}
+
+TEST(StorageSnapshotTest, EntryOrderDependsOnlyOnContent) {
+  // Two tables holding the same entries, filled in opposite orders, must
+  // encode to the same bytes — base snapshots and delta records alike —
+  // so a byte comparison of snapshots tells a reorder from a change.
+  gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
+  UniformChainGenerator generator;
+  RepairSpaceCache cache;
+  EnumerateRepairs(w.db, w.constraints, generator, MemoOptions(&cache));
+  std::shared_ptr<TranspositionTable> walked =
+      cache.TableFor(w.db, w.constraints, generator);
+  ASSERT_NE(walked, nullptr);
+  std::vector<TranspositionTable::EntryView> entries;
+  walked->ForEach([&](const TranspositionTable::EntryView& entry) {
+    entries.push_back(entry);
+  });
+  ASSERT_GT(entries.size(), 2u);
+
+  auto refill = [&](bool reversed) {
+    auto table = std::make_shared<TranspositionTable>();
+    table->SetRootShape(w.db.size(), w.db.schema().size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const TranspositionTable::EntryView& entry =
+          entries[reversed ? entries.size() - 1 - i : i];
+      table->RestoreEntry(KeyUnder(w.db, entry), entry.removed,
+                          entry.eliminated, entry.outcome);
+    }
+    EXPECT_EQ(table->stats().entries, entries.size());
+    return table;
+  };
+  std::shared_ptr<TranspositionTable> forward = refill(false);
+  std::shared_ptr<TranspositionTable> backward = refill(true);
+
+  storage::SnapshotIdentity identity;
+  identity.db_text = w.db.ToString();
+  identity.constraints_digest =
+      storage::RenderConstraints(*w.schema, w.constraints);
+  identity.generator_identity = generator.cache_identity();
+  std::string bytes = storage::EncodeSnapshot(identity, w.db, *walked);
+  EXPECT_EQ(bytes, storage::EncodeSnapshot(identity, w.db, *forward));
+  EXPECT_EQ(bytes, storage::EncodeSnapshot(identity, w.db, *backward));
+
+  size_t forward_count = 0;
+  size_t backward_count = 0;
+  EXPECT_EQ(storage::EncodeDeltaRecord(w.db, *forward, 0,
+                                       forward->sequence(), &forward_count),
+            storage::EncodeDeltaRecord(w.db, *backward, 0,
+                                       backward->sequence(),
+                                       &backward_count));
+  EXPECT_EQ(forward_count, entries.size());
+  EXPECT_EQ(backward_count, entries.size());
+}
+
 TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   gen::Workload w = gen::MakeKeyViolationWorkload(4, 3, 2, /*seed=*/7);
   UniformChainGenerator generator;
@@ -195,7 +264,7 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
   std::shared_ptr<TranspositionTable> table =
       cache.TableFor(w.db, w.constraints, generator);
   ASSERT_NE(table, nullptr);
-  ASSERT_GT(table->size(), 0u);
+  ASSERT_GT(table->stats().entries, 0u);
 
   storage::SnapshotIdentity identity;
   identity.db_text = w.db.ToString();
@@ -208,7 +277,7 @@ TEST(StorageSnapshotTest, EncodeDecodeRoundTripAndIdentityVerification) {
       storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
                               TranspositionTable::kDefaultMaxEntries, 0);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ((*decoded)->size(), table->size());
+  EXPECT_EQ((*decoded)->stats().entries, table->stats().entries);
 
   // Same bytes against a different root: every identity component is
   // verified for real, so the snapshot is rejected, not aliased.

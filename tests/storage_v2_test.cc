@@ -163,7 +163,7 @@ TEST(StorageV2FormatTest, SnapshotRoundTrips) {
   RepairSpaceCache cache;  // memory-only source of a warmed table
   std::shared_ptr<TranspositionTable> table = WarmTable(w, generator, &cache);
   ASSERT_NE(table, nullptr);
-  ASSERT_GT(table->size(), 0u);
+  ASSERT_GT(table->stats().entries, 0u);
 
   storage::SnapshotIdentity identity = IdentityFor(w, generator);
   std::string bytes = storage::EncodeSnapshot(identity, w.db, *table);
@@ -171,7 +171,7 @@ TEST(StorageV2FormatTest, SnapshotRoundTrips) {
       storage::DecodeSnapshot(bytes, identity, w.db, w.constraints,
                               TranspositionTable::kDefaultMaxEntries, 0);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ((*decoded)->size(), table->size());
+  EXPECT_EQ((*decoded)->stats().entries, table->stats().entries);
 }
 
 TEST(StorageV2FormatTest, UnsupportedVersionIsRejected) {
